@@ -5,8 +5,8 @@ high-priority frame arriving mid low-priority frame waits for the
 in-flight *kernel*, never the whole frame. This benchmark schedules a
 preemption-heavy multi-stream trace (sparse high-priority arrivals over
 a saturating low-priority backlog — the shape that forces deschedules),
-asserts the start-delay bound semantically, pins scalar/vectorized
-parity, and emits a ``BENCH_preemption.json`` artifact so
+asserts the start-delay bound semantically, pins parity with the
+reference loop, and emits a ``BENCH_preemption.json`` artifact so
 ``check_regression.py`` gates the engine's per-op cost with the
 preemption machinery actually firing.
 
@@ -22,6 +22,7 @@ import time
 from benchmarks.conftest import emit_bench_json
 
 from repro.api import ScenarioSpec, Session, StreamSpec
+from repro.schedule.reference import run_reference
 from repro.schedule.streams import instantiate_frames
 from repro.schedule.timeline import TimelineScheduler
 from repro.serving import ArrivalSpec
@@ -78,14 +79,17 @@ def test_preemption_latency_budget():
     plan = _lowered_plan()
     elapsed = {}
     timelines = {}
-    for engine in ("vectorized", "scalar"):
-        scheduler = TimelineScheduler(SCENARIO.policy, engine=engine)
+    for leg, schedule in (
+        ("production", TimelineScheduler.run),
+        ("reference", run_reference),
+    ):
+        scheduler = TimelineScheduler(SCENARIO.policy)
         start = time.perf_counter()
-        timelines[engine] = scheduler.run(plan.tasks)
-        elapsed[engine] = time.perf_counter() - start
-    timeline = timelines["vectorized"]
+        timelines[leg] = schedule(scheduler, plan.tasks)
+        elapsed[leg] = time.perf_counter() - start
+    timeline = timelines["production"]
 
-    assert timelines["scalar"] == timeline, (
+    assert timelines["reference"] == timeline, (
         "engines diverged on the preemption trace"
     )
     descheds = [
@@ -120,7 +124,7 @@ def test_preemption_latency_budget():
         f" one-kernel bound {bound * 1e3:.3f} ms — priority inversion"
     )
 
-    per_op = elapsed["vectorized"] / len(plan.tasks)
+    per_op = elapsed["production"] / len(plan.tasks)
     print(
         f"\n{len(plan.tasks)} tasks, {len(descheds)} deschedules;"
         f" max high-prio start delay {max_delay * 1e3:.3f} ms"
@@ -130,9 +134,9 @@ def test_preemption_latency_budget():
     emit_bench_json(
         "preemption",
         ops=len(plan.tasks),
-        seconds=elapsed["vectorized"],
+        seconds=elapsed["production"],
         extra={
-            "scalar_seconds": round(elapsed["scalar"], 6),
+            "scalar_seconds": round(elapsed["reference"], 6),
             "deschedules": len(descheds),
             "max_start_delay_s": round(max_delay, 9),
             "kernel_bound_s": round(bound, 9),

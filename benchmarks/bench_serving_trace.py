@@ -1,4 +1,4 @@
-"""Serving overhead and the vectorized engine's speedup gate.
+"""Serving overhead and the timeline core's speedup gate.
 
 Open-loop serving adds two engine-side costs on top of PR 3's timeline
 scheduling: QoS review at every event (queued-frame bookkeeping) and the
@@ -7,14 +7,16 @@ this benchmark times the engine over a saturating Poisson trace with
 admission control attached and holds it to the same per-op budget as the
 closed-loop scenario benchmark.
 
-The second half is PR 8's headline gate: scheduling a long solo serving
-trace with both engines **in the same run** and asserting the vectorized
-engine is at least :data:`MIN_SPEEDUP` times faster. The scalar engine
-re-scans every frame head at every event (admission review), so its cost
-grows quadratically with trace length while the vectorized engine's
-condensed solo-chain stepping stays linear — the ratio is a property of
-the algorithm, not of machine speed, which is why a ratio gate is stable
-enough for CI where an absolute-time gate would not be.
+The second half is the headline gate: scheduling a long solo serving
+trace with ``TimelineScheduler.run`` and with the reference loop
+(:func:`repro.schedule.reference.run_reference`) **in the same run** and
+asserting the production core is at least :data:`MIN_SPEEDUP` times
+faster. The reference loop re-scans every frame head at every event
+(admission review), so its cost grows quadratically with trace length
+while the production core's condensed solo-chain stepping stays linear —
+the ratio is a property of the algorithm, not of machine speed, which is
+why a ratio gate is stable enough for CI where an absolute-time gate
+would not be.
 
 Run with::
 
@@ -29,6 +31,7 @@ import time
 from benchmarks.conftest import emit_bench_json
 
 from repro.api import ScenarioSpec, Session, StreamSpec
+from repro.schedule.reference import run_reference
 from repro.schedule.streams import instantiate_frames
 from repro.schedule.timeline import TimelineScheduler
 from repro.serving import ArrivalSpec, QosSpec, make_qos
@@ -37,13 +40,13 @@ from repro.serving import ArrivalSpec, QosSpec, make_qos
 #: multistream benchmark: QoS must ride along for free at this scale.
 PER_OP_BUDGET_S = 50e-6
 
-#: The vectorized engine must beat the scalar engine by at least this
+#: The production core must beat the reference loop by at least this
 #: factor on the long-trace scenario below (measured ~112x at 3072
-#: frames on the reference container; the ratio grows with trace length).
+#: frames; the ratio grows with trace length).
 MIN_SPEEDUP = 100.0
 
 #: Trace length for the speedup gate. Overridable for local smoke runs
-#: (the scalar leg is the expensive one — it is the point of the gate).
+#: (the reference leg is the expensive one — it is the point of the gate).
 TRACE_FRAMES = int(os.environ.get("REPRO_BENCH_TRACE_FRAMES", "3072"))
 
 #: Offered well above what the platform sustains, so the queue actually
@@ -68,8 +71,8 @@ SCENARIO = ScenarioSpec(
 )
 
 #: The speedup scenario: one saturating stream, so completions form long
-#: solo dependency chains the vectorized engine condenses, while the
-#: scalar engine still pays its per-event head scan across all
+#: solo dependency chains the production core condenses, while the
+#: reference loop still pays its per-event head scan across all
 #: ``TRACE_FRAMES`` frames.
 TRACE_SCENARIO = ScenarioSpec(
     name="bench-engine-speedup",
@@ -137,47 +140,49 @@ def test_serving_overhead_without_harness():
 
 
 def test_engine_speedup_same_run():
-    """Both engines, same trace, same process: vectorized >= 100x scalar.
+    """Production core vs reference loop, same trace, same process: the
+    production core must be >= 100x faster.
 
     Also pins output parity — the ratio would be meaningless if the fast
-    engine computed a different schedule.
+    core computed a different schedule.
     """
     plan = _lowered_plan(TRACE_SCENARIO)
     elapsed = {}
     timelines = {}
-    for engine in ("vectorized", "scalar"):
+    for leg, schedule in (
+        ("production", TimelineScheduler.run),
+        ("reference", run_reference),
+    ):
         scheduler = TimelineScheduler(
-            TRACE_SCENARIO.policy,
-            qos=make_qos(TRACE_SCENARIO.qos),
-            engine=engine,
+            TRACE_SCENARIO.policy, qos=make_qos(TRACE_SCENARIO.qos)
         )
         start = time.perf_counter()
-        timelines[engine] = scheduler.run(plan.tasks)
-        elapsed[engine] = time.perf_counter() - start
+        timelines[leg] = schedule(scheduler, plan.tasks)
+        elapsed[leg] = time.perf_counter() - start
 
-    assert timelines["vectorized"] == timelines["scalar"], (
+    assert timelines["production"] == timelines["reference"], (
         "engines diverged on the speedup trace"
     )
-    speedup = elapsed["scalar"] / elapsed["vectorized"]
-    per_op = elapsed["vectorized"] / len(plan.tasks)
+    speedup = elapsed["reference"] / elapsed["production"]
+    per_op = elapsed["production"] / len(plan.tasks)
     print(
         f"\n{len(plan.tasks)} tasks x2 engines:"
-        f" vectorized {elapsed['vectorized']:.3f}s,"
-        f" scalar {elapsed['scalar']:.3f}s -> {speedup:.1f}x"
+        f" production {elapsed['production']:.3f}s,"
+        f" reference {elapsed['reference']:.3f}s -> {speedup:.1f}x"
     )
     emit_bench_json(
         "serving_trace",
         ops=len(plan.tasks),
-        seconds=elapsed["vectorized"],
+        seconds=elapsed["production"],
         extra={
-            "scalar_seconds": round(elapsed["scalar"], 6),
+            "scalar_seconds": round(elapsed["reference"], 6),
             "speedup": round(speedup, 2),
             "frames": TRACE_FRAMES,
         },
     )
     if TRACE_FRAMES >= 3072:
         assert speedup >= MIN_SPEEDUP, (
-            f"vectorized engine only {speedup:.1f}x faster"
+            f"production core only {speedup:.1f}x faster"
             f" (gate {MIN_SPEEDUP:.0f}x)"
         )
     assert per_op < PER_OP_BUDGET_S

@@ -21,8 +21,6 @@ Usage::
     python -m repro serve --spec scenario.json --trace trace.json --json
     python -m repro serve -p sma:3 --frames 1000000 --qos drop_late \
         -s "goturn@deadline=0.05,rate=200" --streaming  # bounded memory
-    python -m repro scenario --engine vectorized ...    # timeline engine
-                                                 # (or REPRO_ENGINE=...)
     python -m repro serve -p sma:3 -p gpu-tc -s "deeplab@deadline=0.1" \
         --explore --rates 5,10,20 --slo-ms 100   # SLO explorer
     python -m repro serve -p sma:3 -s "deeplab@deadline=0.1" --explore \
@@ -37,7 +35,7 @@ Usage::
     python -m repro fuzz run --seed 7 --batch 64 --store corpus.sqlite \
         --reproducer-dir repros            # adversarial invariant fuzzing
     python -m repro fuzz run --seed 7 --batch 64 --differential \
-        # every case on both timeline engines; divergence = violation
+        # every case re-run on the reference engine; divergence = violation
     python -m repro fuzz run --seed 7 --batch 64 \
         --server 127.0.0.1:7070 --server 10.0.0.2:7070  # fleet campaign
     python -m repro fuzz replay repros/c000002-priority_ladder.json
@@ -68,7 +66,6 @@ from repro.common.tables import render_table
 from repro.errors import ConfigError, ReproError
 from repro.experiments.export import EXPERIMENT_RUNNERS, export_all
 from repro.platforms.base import REPORTING_GROUPS as GROUP_ORDER
-from repro.schedule import ENGINE_ENV, ENGINE_NAMES
 
 #: Default platform sweep for `bench` (every GEMM-capable backend).
 BENCH_PLATFORMS = ("gpu-simd", "gpu-tc", "sma:2", "sma:3")
@@ -1199,20 +1196,6 @@ def main(argv: list[str] | None = None) -> int:
         "--json", action="store_true", help="emit machine-readable JSON"
     )
 
-    def add_engine_flag(parser) -> None:
-        """Timeline-engine selector shared by scenario/serve/sweep.
-
-        Implemented by exporting ``REPRO_ENGINE`` rather than threading a
-        parameter: both engines are bit-identical, so the choice must not
-        enter request fingerprints, and the environment variable reaches
-        sweep worker processes for free.
-        """
-        parser.add_argument(
-            "--engine", default=None, choices=ENGINE_NAMES,
-            help="timeline engine (default: $REPRO_ENGINE or 'scalar';"
-            " both produce bit-identical results)",
-        )
-
     def add_sweep_axes(parser) -> None:
         """Workload/store options shared by `sweep` and `cluster sweep`."""
         parser.add_argument(
@@ -1264,7 +1247,6 @@ def main(argv: list[str] | None = None) -> int:
         help="expand a spec grid and run it, optionally sharded/resumable",
     )
     add_sweep_axes(sweep_parser)
-    add_engine_flag(sweep_parser)
     sweep_parser.add_argument(
         "-j", "--jobs", type=int, default=1,
         help="worker processes; caches merge back on join",
@@ -1301,7 +1283,6 @@ def main(argv: list[str] | None = None) -> int:
         "--spec", default=None, metavar="FILE",
         help="load the scenario from a ScenarioSpec JSON file",
     )
-    add_engine_flag(scenario_parser)
     scenario_parser.add_argument(
         "--trace-out", default=None, metavar="FILE", dest="trace_out",
         help="write a Chrome/Perfetto trace of the run (ui.perfetto.dev)",
@@ -1399,7 +1380,6 @@ def main(argv: list[str] | None = None) -> int:
         help="consume arrivals as a bounded-memory stream (P2 percentile"
         " sketches instead of per-frame records; same counts/makespan)",
     )
-    add_engine_flag(serve_parser)
     serve_parser.add_argument(
         "--trace-out", default=None, metavar="FILE", dest="trace_out",
         help="write a Chrome/Perfetto trace of the run (ui.perfetto.dev)",
@@ -1571,7 +1551,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     frun_parser.add_argument(
         "--differential", action="store_true",
-        help="run every case through both timeline engines; any report"
+        help="re-run every case on the reference engine; any report"
         " difference is an engine_divergence violation",
     )
     frun_parser.add_argument(
@@ -1631,8 +1611,6 @@ def main(argv: list[str] | None = None) -> int:
     export_parser.add_argument("names", nargs="*", default=None)
 
     args = parser.parse_args(argv)
-    if getattr(args, "engine", None):
-        os.environ[ENGINE_ENV] = args.engine
     try:
         if args.command == "list":
             return _cmd_list()

@@ -604,6 +604,41 @@ class ServingStreamReport:
     def drop_fraction(self) -> float:
         return self.dropped / self.offered if self.offered else 0.0
 
+    @classmethod
+    def from_frames(
+        cls,
+        spec: StreamSpec,
+        frames: tuple[ServingFrame, ...],
+        *,
+        skipped: int,
+        preempted: int,
+        makespan_s: float,
+    ) -> "ServingStreamReport":
+        """Exact statistics of one stream from its frame-ordered records."""
+        done = [frame for frame in frames if not frame.dropped]
+        latencies = [frame.latency_s for frame in done]
+        met = sum(1 for frame in done if not frame.missed)
+        return cls(
+            name=spec.name,
+            model=spec.model,
+            priority=spec.priority,
+            offered=len(frames),
+            completed=len(done),
+            dropped=len(frames) - len(done),
+            missed=len(done) - met,
+            skipped=skipped,
+            mean_latency_s=(
+                sum(latencies) / len(latencies) if latencies else 0.0
+            ),
+            max_latency_s=max(latencies) if latencies else 0.0,
+            p50_s=percentile(latencies, 50),
+            p95_s=percentile(latencies, 95),
+            p99_s=percentile(latencies, 99),
+            goodput_fps=met / makespan_s if makespan_s > 0 else 0.0,
+            frames=frames,
+            preempted=preempted,
+        )
+
 
 @dataclass(frozen=True)
 class ServingReport:
@@ -730,37 +765,17 @@ class ServingReport:
         streams = []
         for stream_spec in spec.streams:
             frames = tuple(records.get(stream_spec.name, ()))
-            done = [frame for frame in frames if not frame.dropped]
-            latencies = [frame.latency_s for frame in done]
-            met = sum(1 for frame in done if not frame.missed)
             streams.append(
-                ServingStreamReport(
-                    name=stream_spec.name,
-                    model=stream_spec.model,
-                    priority=stream_spec.priority,
-                    offered=len(frames),
-                    completed=len(done),
-                    dropped=len(frames) - len(done),
-                    missed=sum(1 for frame in done if frame.missed),
+                ServingStreamReport.from_frames(
+                    stream_spec,
+                    frames,
                     skipped=plan.skipped.get(stream_spec.name, 0),
-                    mean_latency_s=(
-                        sum(latencies) / len(latencies) if latencies else 0.0
-                    ),
-                    max_latency_s=max(latencies) if latencies else 0.0,
-                    p50_s=percentile(latencies, 50),
-                    p95_s=percentile(latencies, 95),
-                    p99_s=percentile(latencies, 99),
-                    goodput_fps=(
-                        met / timeline.makespan_s
-                        if timeline.makespan_s > 0
-                        else 0.0
-                    ),
-                    frames=frames,
                     preempted=sum(
                         1
                         for frame in frames
                         if (stream_spec.name, frame.frame) in aborted
                     ),
+                    makespan_s=timeline.makespan_s,
                 )
             )
         return cls(

@@ -243,7 +243,6 @@ class Session:
         *,
         tag: str | None = None,
         platform_kwargs: dict | None = None,
-        engine: str | None = None,
         tracer=None,
     ) -> ScheduleReport:
         """Schedule a multi-stream scenario on one platform's timeline.
@@ -260,7 +259,7 @@ class Session:
         stream without changing the report by a byte.
         """
         spec, platform_spec, plan, timeline = self._schedule_scenario(
-            scenario, platform, platform_kwargs, engine=engine, tracer=tracer
+            scenario, platform, platform_kwargs, tracer=tracer
         )
         report = ScheduleReport.from_timeline(
             spec, platform_spec, timeline, plan, tag=tag
@@ -276,7 +275,6 @@ class Session:
         *,
         tag: str | None = None,
         platform_kwargs: dict | None = None,
-        engine: str | None = None,
         tracer=None,
     ) -> ServingReport:
         """Serve a scenario open-loop and report tail latencies and drops.
@@ -290,7 +288,7 @@ class Session:
         records the structured event stream without changing the report.
         """
         spec, platform_spec, plan, timeline = self._schedule_scenario(
-            scenario, platform, platform_kwargs, engine=engine, tracer=tracer
+            scenario, platform, platform_kwargs, tracer=tracer
         )
         report = ServingReport.from_timeline(
             spec, platform_spec, timeline, plan, tag=tag
@@ -421,7 +419,6 @@ class Session:
         scenario: ScenarioSpec | dict,
         platform: str | None,
         platform_kwargs: dict | None,
-        engine: str | None = None,
         tracer=None,
     ):
         """Lower, instantiate, and schedule one scenario (shared path)."""
@@ -434,7 +431,6 @@ class Session:
             scenario.policy,
             qos=make_qos(scenario.qos),
             interference=target.interference_matrix(),
-            engine=engine,
             tracer=tracer,
         )
         with profile_phase(self.metrics, "schedule"):

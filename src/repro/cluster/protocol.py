@@ -274,7 +274,7 @@ def fuzz_message(
     Cases travel as ``(seed, index)`` coordinates, not scenarios — both
     sides derive the identical case from the shared generator, so the
     shard is a few bytes regardless of batch size. ``differential``
-    asks the server to run every case through both timeline engines
+    asks the server to re-run every case on the reference engine
     (servers default it off when absent, so the key is wire-compatible).
     """
     return {

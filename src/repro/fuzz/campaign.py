@@ -117,8 +117,8 @@ def run_indices(
     ``inject`` plants the named fault into every case whose scenario the
     fault applies to (``invert_priority`` needs an ``exclusive``
     dispatcher, so only those cases are affected). ``differential``
-    additionally runs every case through *both* timeline engines and
-    records any report difference as an ``engine_divergence`` violation.
+    additionally re-runs every case on the reference engine and records
+    any report difference as an ``engine_divergence`` violation.
     """
     records = []
     for index in indices:
@@ -460,8 +460,8 @@ def run_campaign(
     instead of re-executed; everything executed this run is persisted
     back. With ``servers``, pending indices fan out across warm cluster
     servers — the records are identical to a local run by construction.
-    ``differential`` turns on the both-engines oracle for every case (see
-    :func:`run_indices`).
+    ``differential`` turns on the reference-engine oracle for every case
+    (see :func:`run_indices`).
     """
     if batch < 0:
         raise ConfigError(f"campaign batch must be >= 0, got {batch}")

@@ -30,6 +30,7 @@ from repro.api.results import ScheduleReport, ServingReport
 from repro.catalog.interference import InterferenceMatrix
 from repro.errors import ConfigError
 from repro.schedule.policies import SchedulingPolicy, make_policy
+from repro.schedule.reference import run_reference
 from repro.schedule.resources import ResourceClaim, ResourceKind
 from repro.schedule.streams import FramePlan, ScenarioSpec, instantiate_frames
 from repro.schedule.timeline import OpTask, Timeline, TimelineScheduler
@@ -279,15 +280,15 @@ class CaseResult:
 
 
 def run_case(
-    case: FuzzCase, engine: str | None = None, tracer=None
+    case: FuzzCase, reference: bool = False, tracer=None
 ) -> CaseResult:
     """Execute one case through the timeline engine and assemble reports.
 
-    ``engine`` picks the timeline execution core (``"scalar"`` /
-    ``"vectorized"``); ``None`` defers to the process default. The
-    differential oracle re-runs a case on the other engine and treats any
-    report difference as a violation — the two cores are pinned
-    bit-identical. ``tracer`` attaches an observation-only
+    ``reference=True`` schedules on the reference loop
+    (:func:`~repro.schedule.reference.run_reference`) instead of the
+    production core; the differential oracle does that and treats any
+    report difference as a violation — the two are pinned bit-identical.
+    ``tracer`` attaches an observation-only
     :class:`~repro.obs.trace.Tracer` — the trace-transparency oracle
     asserts it changes nothing.
 
@@ -313,10 +314,12 @@ def run_case(
             if case.interference is not None and case.interference
             else None
         ),
-        engine=engine,
         tracer=tracer,
     )
-    timeline = scheduler.run(list(plan.tasks))
+    if reference:
+        timeline = run_reference(scheduler, plan.tasks)
+    else:
+        timeline = scheduler.run(plan.tasks)
     return CaseResult(
         case=case,
         plan=plan,

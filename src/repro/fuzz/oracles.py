@@ -60,11 +60,12 @@ is self-consistent), **trace_transparency** (attaching a
 :class:`~repro.obs.trace.Tracer` changes no report byte — observation
 must not perturb the simulation), and **crash** (the engine raised
 instead of scheduling). With ``differential=True`` it additionally
-re-runs the case on the *other* timeline engine (scalar vs vectorized)
-and flags **engine_divergence** when the reports are not byte-identical
-— the two cores are pinned to the same arithmetic, so any difference is
-a bug in one of them — and extends **trace_transparency** to demand the
-two engines emit the identical trace event sequence.
+re-runs the case on the reference engine
+(:func:`~repro.schedule.reference.run_reference`) and flags
+**engine_divergence** when the reports are not byte-identical — the
+production core is pinned to the reference's arithmetic, so any
+difference is a bug in one of them — and extends **trace_transparency**
+to demand both emit the identical trace event sequence.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from dataclasses import dataclass, replace
 from repro.common.stats import percentile
 from repro.errors import ConfigError, SchedulingError
 from repro.fuzz.cases import CaseResult, FuzzCase, run_case
-from repro.schedule.timeline import OpTask, Timeline, default_engine
+from repro.schedule.timeline import OpTask, Timeline
 
 #: Tolerances. Exact-derivation checks (recomputing a value the same way
 #: the reporting code did) compare to _EXACT; inequality checks on
@@ -566,18 +567,11 @@ def assert_reports_agree(schedule, serving) -> None:
 # -- whole-case evaluation -------------------------------------------------------------
 @dataclass(frozen=True)
 class CaseOutcome:
-    """One case's verdict: the case and every oracle violation found.
-
-    ``engine`` records which timeline core produced this verdict (the
-    resolved ``REPRO_ENGINE`` default at evaluation time), so a crash or
-    differential failure is replayable verbatim — run the reproducer
-    with ``REPRO_ENGINE=<engine>`` and the same core re-executes it.
-    """
+    """One case's verdict: the case and every oracle violation found."""
 
     case: FuzzCase
     violations: tuple[Violation, ...]
     result: CaseResult | None = None
-    engine: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -643,19 +637,15 @@ def _determinism_violations(
 def _engine_divergence_violations(
     case: FuzzCase, result: CaseResult
 ) -> list[Violation]:
-    """Differential oracle: the other engine must tell the same story."""
-    from repro.schedule.timeline import ENGINE_NAMES, default_engine
-
-    ran = default_engine()
-    other = next(name for name in ENGINE_NAMES if name != ran)
+    """Differential oracle: the reference engine must tell the same story."""
     try:
-        rerun = run_case(case, engine=other)
+        rerun = run_case(case, reference=True)
     except Exception as error:  # noqa: BLE001 - any failure is the finding
         return [
             Violation(
                 "engine_divergence",
-                f"the {other} engine raised where {ran} scheduled case"
-                f" {case.case_id!r}: {error}",
+                "the reference engine raised where the production engine"
+                f" scheduled case {case.case_id!r}: {error}",
             )
         ]
     problems = []
@@ -667,8 +657,8 @@ def _engine_divergence_violations(
             problems.append(
                 Violation(
                     "engine_divergence",
-                    f"{label} report differs between the {ran} and {other}"
-                    f" engines for case {case.case_id!r}",
+                    f"{label} report differs between the production and"
+                    f" reference engines for case {case.case_id!r}",
                 )
             )
     return problems
@@ -711,13 +701,12 @@ def _trace_transparency_violations(
     """Observation must not perturb: a tracer changes no report byte.
 
     Under ``differential`` the recorded event sequence is additionally
-    compared across the two engines — the trace-parity contract both
-    cores are pinned to.
+    compared against the reference engine's — the trace-parity contract
+    the production core is pinned to.
     """
     # Deferred import: the oracle pack must not require repro.obs at
     # import time.
     from repro.obs.trace import Tracer
-    from repro.schedule.timeline import ENGINE_NAMES
 
     tracer = Tracer()
     try:
@@ -743,26 +732,24 @@ def _trace_transparency_violations(
                 )
             )
     if differential:
-        ran = default_engine()
-        other = next(name for name in ENGINE_NAMES if name != ran)
-        other_tracer = Tracer()
+        reference_tracer = Tracer()
         try:
-            run_case(case, engine=other, tracer=other_tracer)
+            run_case(case, reference=True, tracer=reference_tracer)
         except Exception as error:  # noqa: BLE001 - any failure is the finding
             problems.append(
                 Violation(
                     "trace_transparency",
-                    f"the {other} engine raised with a tracer attached:"
+                    "the reference engine raised with a tracer attached:"
                     f" {error}",
                 )
             )
             return problems
-        if tracer.records != other_tracer.records:
+        if tracer.records != reference_tracer.records:
             problems.append(
                 Violation(
                     "trace_transparency",
-                    f"the {ran} and {other} engines emitted different trace"
-                    f" event sequences for case {case.case_id!r}",
+                    "the production and reference engines emitted different"
+                    f" trace event sequences for case {case.case_id!r}",
                 )
             )
     return problems
@@ -841,22 +828,20 @@ def evaluate_case(
     (determinism, trace replay, partition merge) — the cheap mode the
     shrinker uses between candidate steps; the final verdict on a shrunk
     reproducer always uses the full pack. ``differential=True`` adds the
-    ``engine_divergence`` oracle (one extra run on the other timeline
-    engine), independent of ``deep`` so the shrinker can chase a
-    divergence without paying for the rest of the deep pack.
+    ``engine_divergence`` oracle (one extra run on the reference engine),
+    independent of ``deep`` so the shrinker can chase a divergence
+    without paying for the rest of the deep pack.
 
     :class:`~repro.errors.SchedulingError` from the engine is itself a
     ``crash`` violation; :class:`~repro.errors.ConfigError` propagates —
     an invalid case is a generator bug, not an engine finding.
     """
-    engine = default_engine()
     try:
         result = run_case(case)
     except SchedulingError as error:
         return CaseOutcome(
             case=case,
             violations=(Violation("crash", f"engine raised: {error}"),),
-            engine=engine,
         )
     violations: list[Violation] = []
     tasks = result.tasks
@@ -913,7 +898,6 @@ def evaluate_case(
         case=case,
         violations=tuple(violations),
         result=result,
-        engine=engine,
     )
 
 

@@ -53,19 +53,13 @@ _DEEP_ORACLES = frozenset(
 
 @dataclass(frozen=True)
 class Reproducer:
-    """A minimized failing case plus the violations it must reproduce.
-
-    ``engine`` names the timeline core the final verdict ran on, so a
-    differential or crash finding replays verbatim: run the replay with
-    ``REPRO_ENGINE=<engine>`` and the same core re-executes the case.
-    """
+    """A minimized failing case plus the violations it must reproduce."""
 
     case: FuzzCase
     oracles: tuple[str, ...]
     violations: tuple[Violation, ...]
     campaign_seed: int | None = None
     index: int | None = None
-    engine: str | None = None
 
     def to_dict(self) -> dict:
         payload: dict = {
@@ -80,8 +74,6 @@ class Reproducer:
             payload["campaign_seed"] = self.campaign_seed
         if self.index is not None:
             payload["index"] = self.index
-        if self.engine is not None:
-            payload["engine"] = self.engine
         return payload
 
     def to_json(self, indent: int | None = None) -> str:
@@ -89,6 +81,8 @@ class Reproducer:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Reproducer":
+        """Load a reproducer; an ``engine`` key, which older files carry
+        from when the timeline core was selectable, is ignored."""
         if not isinstance(data, dict):
             raise ConfigError(f"reproducer must be an object, got {data!r}")
         kind = data.get("kind", "fuzz_reproducer")
@@ -108,7 +102,6 @@ class Reproducer:
             ),
             campaign_seed=data.get("campaign_seed"),
             index=data.get("index"),
-            engine=data.get("engine"),
         )
 
     @classmethod
@@ -293,16 +286,15 @@ def shrink_case(
         violations=kept,
         campaign_seed=campaign_seed,
         index=index,
-        engine=final.engine,
     )
 
 
 def replay_reproducer(source: "Reproducer | FuzzCase") -> CaseOutcome:
     """Re-run a reproducer (or bare case) through the full oracle pack.
 
-    Replay always includes the differential engine oracle: a reproducer
+    Replay always includes the differential oracle: a reproducer
     recording an ``engine_divergence`` must re-fail on replay, and the
-    extra engine run is one-off noise for everything else.
+    extra reference-engine run is one-off noise for everything else.
     """
     case = source.case if isinstance(source, Reproducer) else source
     return evaluate_case(case, deep=True, differential=True)

@@ -3,10 +3,11 @@
 The observability layer for the simulator, in three pieces:
 
 * :mod:`~repro.obs.trace` — a zero-overhead-when-off structured tracer
-  both timeline engines feed identically (spans for kernel execution and
-  queueing, instants for switches, drops, aborts, and preemption
-  deschedules). Attaching a tracer never changes a report byte — the
-  transparency contract is pinned by tests and a fuzz oracle.
+  the timeline engine feeds (spans for kernel execution and queueing,
+  instants for switches, drops, aborts, and preemption deschedules),
+  event for event as the reference loop does. Attaching a tracer never
+  changes a report byte — the transparency contract is pinned by tests
+  and a fuzz oracle.
 * :mod:`~repro.obs.perfetto` — a Chrome-trace-event exporter rendering
   per-stream tracks, per-resource utilization counters, and QoS
   instants, openable directly in ``ui.perfetto.dev``.

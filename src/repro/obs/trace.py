@@ -1,17 +1,18 @@
 """Structured timeline tracing with a zero-overhead-when-off contract.
 
-A :class:`Tracer` is an opt-in event log both timeline engines append to
-at their dispatch/completion/QoS decision points. Two invariants make it
+A :class:`Tracer` is an opt-in event log the timeline engine appends to
+at its dispatch/completion/QoS decision points. Two invariants make it
 safe to attach anywhere:
 
 * **Transparency** — the tracer only *observes*: it never touches a
   simulation float, so a run with a tracer attached produces reports
   byte-identical to one without (pinned by golden tests and the
   ``trace_transparency`` fuzz oracle).
-* **Engine parity** — the scalar and vectorized engines emit the *same*
-  event sequence for the same input, exactly as their timelines are
-  bit-identical. The parity gate in ``tests/obs`` compares the raw
-  sequences element-for-element.
+* **Engine parity** — the production core and the reference loop
+  (:mod:`repro.schedule.reference`) emit the *same* event sequence for
+  the same input, exactly as their timelines are bit-identical. The
+  parity gate in ``tests/obs`` compares the raw sequences
+  element-for-element.
 
 The hot paths record plain tuples (one list append per event); the
 structured :class:`TraceEvent` view is materialized lazily via
@@ -31,7 +32,7 @@ from repro.errors import ConfigError
 #: Every event kind a tracer can record, in no particular order.
 #: ``begin``/``end`` bound kernel-execution spans; ``switch`` marks a
 #: cross-stream mode-switch surcharge; the rest are instants mirroring
-#: the engines' QoS/preemption records.
+#: the engine's QoS/preemption records.
 EVENT_KINDS = ("begin", "end", "switch", "drop", "abort", "deschedule")
 
 
@@ -107,7 +108,7 @@ class TraceEvent:
 
 
 class Tracer:
-    """An append-only event log the timeline engines feed.
+    """An append-only event log the timeline engine feeds.
 
     Attach one via ``TimelineScheduler(..., tracer=Tracer())`` (or the
     ``Session.run_*`` / ``serve_streaming`` pass-throughs), run, then
@@ -120,9 +121,8 @@ class Tracer:
     def __init__(self) -> None:
         #: Raw event tuples, in emission order:
         #: ``(kind, time_s, uid, name, stream, frame, mode, release_s,
-        #: resources, reason, cost_s)``. The engines compare these
-        #: directly in the parity gate; everything else should prefer
-        #: :attr:`events`.
+        #: resources, reason, cost_s)``. The parity gate compares these
+        #: directly; everything else should prefer :attr:`events`.
         self.records: list[tuple] = []
 
     def __len__(self) -> int:

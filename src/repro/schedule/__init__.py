@@ -10,7 +10,9 @@ This package models that directly:
   link, the host CPU) and per-task claims;
 * :mod:`~repro.schedule.timeline` — an event-driven weighted
   processor-sharing engine over those claims, with cross-stream
-  mode-switch accounting;
+  mode-switch accounting, run on the
+  :mod:`~repro.schedule.vectorized` core and pinned to the executable
+  spec in :mod:`~repro.schedule.reference`;
 * :mod:`~repro.schedule.policies` — fifo / priority / exclusive
   dispatch-and-share policies;
 * :mod:`~repro.schedule.streams` — multi-stream :class:`ScenarioSpec`
@@ -49,20 +51,15 @@ from repro.schedule.streams import (
     instantiate_frames,
 )
 from repro.schedule.timeline import (
-    ENGINE_ENV,
-    ENGINE_NAMES,
     DropRecord,
     OpTask,
     PreemptRecord,
     Timeline,
     TimelineScheduler,
     TimelineSegment,
-    default_engine,
 )
 
 __all__ = [
-    "ENGINE_ENV",
-    "ENGINE_NAMES",
     "POLICY_NAMES",
     "RESOURCE_ORDER",
     "DropRecord",
@@ -85,7 +82,6 @@ __all__ = [
     "TimelineScheduler",
     "TimelineSegment",
     "claims_for_mode",
-    "default_engine",
     "frame_sources",
     "instantiate_frames",
     "make_policy",

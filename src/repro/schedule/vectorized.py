@@ -1,15 +1,16 @@
-"""The vectorized timeline engine: the scalar loop's hot path, restructured.
+"""The timeline core: the reference loop's hot path, restructured.
 
-:class:`~repro.schedule.timeline.TimelineScheduler` with
-``engine="vectorized"`` runs task sets through this module instead of the
-scalar reference loop. The semantics — and the produced
-:class:`~repro.schedule.timeline.Timeline`, bit for bit — are identical;
-what changes is the cost model per event:
+:meth:`~repro.schedule.timeline.TimelineScheduler.run` and the streaming
+serving driver run every schedule through :class:`VectorCore`. Its
+semantics — and the produced :class:`~repro.schedule.timeline.Timeline`,
+bit for bit — are those of the per-event reference loop in
+:mod:`repro.schedule.reference`; what changes is the cost model per
+event:
 
 * **heap event queues** — ``pending`` is a binary heap keyed
   ``(release_s, uid)`` instead of a sorted list with O(n) head pops and
   O(n) sorted inserts;
-* **incremental queued-frame index** — the scalar engine rescans *every*
+* **incremental queued-frame index** — the reference loop rescans *every*
   frame head twice per event to build the QoS review dict (quadratic in
   trace length); here heads enter a sorted arrival index once, when their
   release passes, and leave it on start/drop, so each review costs only
@@ -25,13 +26,14 @@ what changes is the cost model per event:
   no-ops: no other ready task, the next pending release and the QoS
   horizon strictly after the chain step's completion, and (under QoS) the
   successor is not a frame head. Every float operation it performs is
-  the same operation, in the same order, as the scalar loop's.
+  the same operation, in the same order, as the reference loop's.
 
-Bit-identity is pinned three ways: the golden suite
-(``tests/schedule/test_vectorized.py``), every existing scenario/serving
-golden re-run under ``REPRO_ENGINE=vectorized``, and the differential
-fuzz campaign mode (``repro fuzz run --differential``) which treats any
-report divergence as an invariant violation.
+Bit-identity is pinned three ways: the parity suite
+(``tests/schedule/test_vectorized.py``) compares reports against the
+reference loop, every scenario/serving golden runs on this core, and the
+differential fuzz campaign mode (``repro fuzz run --differential``)
+treats any report divergence from the reference as an invariant
+violation.
 
 The core additionally supports *incremental* task injection and state
 pruning (:meth:`VectorCore.inject` / :meth:`VectorCore.prune`), which is
@@ -120,7 +122,7 @@ class VectorCore:
     must not mutate engine state otherwise.
 
     ``tracer`` is an optional :class:`~repro.obs.trace.Tracer`; every
-    emission site mirrors the scalar engine's so the two cores produce
+    emission site mirrors the reference loop's so both produce
     identical event sequences (the ``tests/obs`` parity gate), and the
     tracer never touches engine floats (transparency gate).
     """
@@ -148,7 +150,7 @@ class VectorCore:
         self.dependents: dict[int, list[int]] = {}
         self.remaining: dict[int, float] = {}
         # Total charged work per task (base seconds + switch surcharge);
-        # the completion epsilon scales with this (scalar parity).
+        # the completion epsilon scales with this (reference parity).
         self.charged: dict[int, float] = {}
         self.status: dict[int, int] = {}
         self.pending: list[tuple[float, int]] = []
@@ -168,8 +170,8 @@ class VectorCore:
         # Queued-frame index (maintained only under QoS): heads sit in
         # ``arrival_heap`` until their release passes, then in the
         # ``queued_keys`` sorted list — keyed by their *static* (build
-        # time) release so review dicts iterate in exactly the scalar
-        # engine's head order.
+        # time) release so review dicts iterate in exactly the reference
+        # loop's head order.
         self.head_key: dict[int, tuple[float, int]] = {}
         self.arrival_heap: list[tuple[float, int]] = []
         self.queued_keys: list[tuple[float, int]] = []
@@ -215,8 +217,8 @@ class VectorCore:
 
     # -- task intake / retirement ------------------------------------------------------
     def inject(self, tasks, presatisfied=frozenset()) -> None:
-        """Register tasks (validating uids/deps exactly like the scalar
-        engine). ``presatisfied`` uids count as already-resolved
+        """Register tasks (validating uids/deps exactly like the reference
+        loop). ``presatisfied`` uids count as already-resolved
         dependencies — the streaming driver's bridge to pruned frames."""
         by_uid = self.by_uid
         for task in tasks:
@@ -385,7 +387,7 @@ class VectorCore:
             successor = self.by_uid[successor_uid]
             if successor.think_s is not None:
                 # Closed-loop pacing: rewrite the release now that it is
-                # known (mirrors the scalar engine exactly).
+                # known (mirrors the reference loop exactly).
                 successor = replace(
                     successor,
                     release_s=max(
@@ -486,7 +488,7 @@ class VectorCore:
 
     def _abort_frame(self, head: OpTask, reason: str) -> None:
         """Cancel the unstarted remainder of a started frame (mirrors the
-        scalar ``abort_frame`` exactly, including record order)."""
+        reference ``abort_frame`` exactly, including record order)."""
         key = (head.stream, head.frame)
         self.aborted.add(key)
         self._inflight_discard(head.uid)
@@ -525,7 +527,7 @@ class VectorCore:
     # -- shares ------------------------------------------------------------------------
     def _compute_shares(self) -> None:
         """Recompute loads/slowdowns — same arithmetic, same order as the
-        scalar loop, so memoized values are bit-identical to a rescan."""
+        reference loop, so memoized values are bit-identical to a rescan."""
         matrix = self.matrix
         policy = self.policy
         load: dict[ResourceKind, float] = {}
@@ -585,7 +587,7 @@ class VectorCore:
         return load
 
     def _charge_substrate(self, task: OpTask) -> None:
-        """Mode-switch accounting at dispatch (scalar semantics)."""
+        """Mode-switch accounting at dispatch (reference semantics)."""
         if _touches_substrate(task):
             if (
                 task.cross_switch_s > 0.0
@@ -607,7 +609,7 @@ class VectorCore:
         """Advance a solo dependency chain completion-by-completion
         without the generic loop's per-event scans.
 
-        Every condensed step is provably identical to one full scalar
+        Every condensed step is provably identical to one full reference-loop
         iteration: nothing else is ready, the next pending release and
         the QoS horizon land strictly after the step's completion (so the
         release drain and review would be no-ops — admission policies
@@ -665,7 +667,7 @@ class VectorCore:
             uid = task.uid
             rem = remaining[uid]
             # Alone on the machine the slowdown is exactly 1.0 (a full
-            # claim's load equals the task's own weight), so the scalar
+            # claim's load equals the task's own weight), so the reference
             # loop's dt is exactly ``rem``.
             completion = now + rem
             while pending and status.get(pending[0][1]) != _PENDING:
@@ -690,7 +692,7 @@ class VectorCore:
             if qos is not None and successor.frame_head:
                 break
             # Commit: complete ``task`` at ``completion``, start its
-            # successor there — one scalar iteration, condensed.
+            # successor there — one reference iteration, condensed.
             events += 1
             if rem > 0.0:
                 key = (id(task.claims), weight_of(task), task.mode)
@@ -705,7 +707,7 @@ class VectorCore:
             running.clear()
             # Inlined ``_complete``: the sole successor's dependency
             # resolves here, and since we dispatch it immediately the
-            # scalar PENDING push/pop pair is unobservable — skip it.
+            # generic loop's PENDING push/pop pair is unobservable — skip it.
             status[uid] = _DONE
             end[uid] = now
             if tracer is not None:
@@ -728,7 +730,7 @@ class VectorCore:
                 if unmet[succ_uid] != 0 or status[succ_uid] == _DROPPED:
                     break  # a resolve hook intervened (defensive)
             # The successor is not closed-loop and its release has
-            # passed, so the scalar loop would admit, release, and
+            # passed, so the reference loop would admit, release, and
             # dispatch exactly it. Condense those three steps.
             status[succ_uid] = _RUNNING
             start[succ_uid] = now
@@ -811,7 +813,7 @@ class VectorCore:
                 if self.done >= self.total:
                     break
                 # Drop cascades can admit a stream's next frame at this
-                # instant — re-drain before dispatch (scalar parity).
+                # instant — re-drain before dispatch (reference parity).
                 self._drain_releases()
                 # Preemptive QoS reviews in-flight frames too, aborting
                 # the unstarted remainder of any whose deadline slipped.
@@ -963,23 +965,4 @@ class VectorCore:
         )
 
 
-def run_vectorized(scheduler, tasks) -> Timeline:
-    """Run ``tasks`` to completion with the vectorized core; the entry
-    point :meth:`TimelineScheduler.run` dispatches to."""
-    tasks = list(tasks)
-    if not tasks:
-        return Timeline(segments=(), makespan_s=0.0)
-    core = VectorCore(
-        policy=scheduler.policy,
-        qos=scheduler.qos,
-        interference=scheduler.interference,
-        max_events=scheduler.max_events,
-        collect=True,
-        tracer=scheduler.tracer,
-    )
-    core.inject(tasks)
-    core.run_loop()
-    return core.build_timeline()
-
-
-__all__ = ["VectorCore", "run_vectorized"]
+__all__ = ["VectorCore"]

@@ -130,8 +130,8 @@ class AdmissionPolicy:
 
     def next_inflight_event(self, now: float, inflight: dict) -> float | None:
         """The next time (> now) an in-flight abort could fire, or
-        ``None``. Bounds the engine's step (and the vectorized engine's
-        solo-chain fast path) so aborts land exactly on their expiry."""
+        ``None``. Bounds the engine's step (and its solo-chain fast path)
+        so aborts land exactly on their expiry."""
         return None
 
 

@@ -15,14 +15,6 @@ Also here: :func:`trace_scenario` / :func:`apply_trace`, which
 materialize a scenario's (seeded) arrivals into an
 :class:`~repro.serving.traces.ArrivalTrace` and replay one — the
 round-trip that makes serving runs reproducible across processes.
-
-Timeline-engine selection (``scalar`` vs ``vectorized``) deliberately
-does **not** appear in these signatures: both engines are pinned to
-bit-identical output, so the choice cannot affect a result and must not
-join :class:`~repro.api.results.SimRequest` fingerprints (store keys
-written by one engine resume runs under the other). Set the
-``REPRO_ENGINE`` environment variable to steer exploration runs — sweep
-workers inherit it across process boundaries.
 """
 
 from __future__ import annotations

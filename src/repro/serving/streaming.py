@@ -1,6 +1,6 @@
 """Bounded-memory streaming serving: million-frame traces, O(1) state.
 
-:func:`serve_streaming` drives the vectorized timeline core
+:func:`serve_streaming` drives the timeline core
 (:class:`~repro.schedule.vectorized.VectorCore`) frame-by-frame instead
 of materializing a scenario's full task set: each stream's arrivals come
 from the lazy :func:`~repro.serving.traces.iter_arrivals` iterator via a
@@ -17,7 +17,7 @@ Injection timing is chosen so the engine observes *exactly* the event
 sequence of a materialized run:
 
 * a stream's next frame is injected the moment its static release passes
-  (so QoS review sees it queued, blocked or not — scalar semantics), or
+  (so QoS review sees it queued, blocked or not — reference semantics), or
 * the moment the previous frame's last task resolves (so the dependency
   satisfaction lands at the same instant the materialized run's would),
 
@@ -38,7 +38,7 @@ schedule to stream against.
 from __future__ import annotations
 
 from repro.api.results import ServingReport, ServingStreamReport
-from repro.common.stats import QuantileSketch, percentile
+from repro.common.stats import QuantileSketch
 from repro.errors import ConfigError
 from repro.schedule.policies import make_policy
 from repro.schedule.streams import (
@@ -80,8 +80,6 @@ class _StreamState:
         self.missed = 0
         self.met = 0
         self.preempted = 0
-        self.latency_sum = 0.0
-        self.latency_max = 0.0
         self.sketch = QuantileSketch()
         self.records: dict[int, FrameRecord] | None = (
             {} if keep_records else None
@@ -170,9 +168,6 @@ def serve_streaming(
                 state.missed += 1
             else:
                 state.met += 1
-            state.latency_sum += latency
-            if latency > state.latency_max:
-                state.latency_max = latency
             state.sketch.add(latency)
             global_sketch.add(latency)
             record = FrameRecord(
@@ -249,35 +244,15 @@ def serve_streaming(
     reports = []
     for spec, state in zip(scenario.streams, streams):
         if state.records is not None:
-            # Exact mode: rebuild the statistics from the records in
-            # frame order, matching ServingReport.from_timeline term by
-            # term (bit-identical to the materialized report).
-            frames = tuple(
-                state.records[key] for key in sorted(state.records)
-            )
-            done = [frame for frame in frames if not frame.dropped]
-            latencies = [frame.latency_s for frame in done]
-            met = sum(1 for frame in done if not frame.missed)
+            # Exact mode: the records in frame order go through the same
+            # constructor as ServingReport.from_timeline (bit-identical).
             reports.append(
-                ServingStreamReport(
-                    name=spec.name,
-                    model=spec.model,
-                    priority=spec.priority,
-                    offered=len(frames),
-                    completed=len(done),
-                    dropped=len(frames) - len(done),
-                    missed=sum(1 for frame in done if frame.missed),
+                ServingStreamReport.from_frames(
+                    spec,
+                    tuple(state.records[key] for key in sorted(state.records)),
                     skipped=state.source.skipped,
-                    mean_latency_s=(
-                        sum(latencies) / len(latencies) if latencies else 0.0
-                    ),
-                    max_latency_s=max(latencies) if latencies else 0.0,
-                    p50_s=percentile(latencies, 50),
-                    p95_s=percentile(latencies, 95),
-                    p99_s=percentile(latencies, 99),
-                    goodput_fps=met / makespan if makespan > 0 else 0.0,
-                    frames=frames,
                     preempted=state.preempted,
+                    makespan_s=makespan,
                 )
             )
         else:

@@ -1,9 +1,9 @@
 """Differential fuzzing: the engine_divergence oracle and its wiring.
 
-``evaluate_case(differential=True)`` re-runs every case on the *other*
+``evaluate_case(differential=True)`` re-runs every case on the reference
 timeline engine and flags any non-byte-identical report. These tests
 pin three things: the oracle finds nothing on a healthy engine pair
-(the PR-gating smoke), it *does* fire when the other engine misbehaves
+(the PR-gating smoke), it *does* fire when the reference run misbehaves
 (injected via monkeypatching), and the campaign/cluster plumbing
 carries the flag end to end.
 """
@@ -34,7 +34,7 @@ class TestDifferentialOracle:
         ids=lambda case: case.case_id,
     )
     def test_no_divergence_across_families(self, case):
-        """The PR-gating smoke: both engines agree on every family."""
+        """The PR-gating smoke: the engines agree on every family."""
         outcome = evaluate_case(case, deep=False, differential=True)
         divergences = [
             violation
@@ -48,9 +48,9 @@ class TestDifferentialOracle:
         case = generate_batch(SMOKE_SEED, 1)[0]
         real_run_case = oracles_module.run_case
 
-        def tampered(case, engine=None):
-            result = real_run_case(case, engine=engine)
-            if engine is not None:
+        def tampered(case, reference=False):
+            result = real_run_case(case, reference=reference)
+            if reference:
                 # Perturb the differential re-run only: shift the
                 # serving makespan so the reports cannot match.
                 from dataclasses import replace
@@ -72,10 +72,10 @@ class TestDifferentialOracle:
         case = generate_batch(SMOKE_SEED, 1)[0]
         real_run_case = oracles_module.run_case
 
-        def crashing(case, engine=None):
-            if engine is not None:
+        def crashing(case, reference=False):
+            if reference:
                 raise RuntimeError("injected engine fault")
-            return real_run_case(case, engine=engine)
+            return real_run_case(case, reference=reference)
 
         monkeypatch.setattr(oracles_module, "run_case", crashing)
         outcome = evaluate_case(case, deep=False, differential=True)

@@ -40,6 +40,9 @@ def test_reproducer_round_trip_and_replay(tmp_path):
     reproducer.save(path)
     loaded = Reproducer.load(path)
     assert loaded.to_json() == reproducer.to_json()
+    # Files saved while the timeline core was selectable carry an engine.
+    legacy = {**reproducer.to_dict(), "engine": "scalar"}
+    assert Reproducer.from_dict(legacy).to_json() == reproducer.to_json()
 
     outcome = replay_reproducer(loaded)
     assert not outcome.ok

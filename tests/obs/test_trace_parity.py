@@ -1,15 +1,17 @@
 """The tentpole gates: engine trace parity and trace transparency.
 
-Parity: the scalar and vectorized timeline cores must emit *identical*
-raw event sequences (``Tracer.records``, compared element-for-element)
-for the same input — the observability analogue of their bit-identical
-timelines. Transparency: attaching a tracer must not perturb the
-simulation; a traced run's timeline equals the untraced run's exactly.
+Parity: the scalar reference loop and the vectorized production core
+must emit *identical* raw event sequences (``Tracer.records``, compared
+element-for-element) for the same input — the observability analogue of
+their bit-identical timelines. Transparency: attaching a tracer must not
+perturb the simulation; a traced run's timeline equals the untraced
+run's exactly.
 """
 
 import pytest
 
 from repro.schedule.policies import make_policy
+from repro.schedule.reference import run_reference
 from repro.schedule.resources import ResourceClaim, ResourceKind
 from repro.schedule.timeline import OpTask, TimelineScheduler
 from repro.obs import EVENT_KINDS, Tracer
@@ -17,14 +19,16 @@ from repro.serving.qos import QosSpec, make_qos
 
 SIMD = (ResourceClaim(ResourceKind.SIMD),)
 ARRAY = (ResourceClaim(ResourceKind.ARRAY),)
-ENGINES = ("scalar", "vectorized")
+#: The two timeline cores by parametrize id: the scalar reference loop
+#: (the executable spec) and the vectorized production core.
+ENGINES = {"scalar": run_reference, "vectorized": TimelineScheduler.run}
 
 
 def run(tasks, policy="fifo", qos=None, engine="scalar", tracer=None):
     scheduler = TimelineScheduler(
-        make_policy(policy), qos=make_qos(qos), engine=engine, tracer=tracer
+        make_policy(policy), qos=make_qos(qos), tracer=tracer
     )
-    return scheduler.run(list(tasks))
+    return ENGINES[engine](scheduler, list(tasks))
 
 
 def traced_records(tasks, policy="fifo", qos=None, engine="scalar"):

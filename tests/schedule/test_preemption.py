@@ -4,9 +4,10 @@ The ``exclusive_preempt`` policy bounds priority inversion to the one
 kernel already on the machine and records every yield; the
 ``abort_late`` QoS action cancels an in-flight frame's not-yet-started
 kernels at its deadline expiry. Every golden here is pinned bit-exact
-on BOTH engines, and the plain-``exclusive`` twins pin the byte
-stability contract: a non-preemptive run must never grow preemption
-records or shift a segment.
+on BOTH the production core and the reference loop, and the
+plain-``exclusive`` twins pin the byte stability contract: a
+non-preemptive run must never grow preemption records or shift a
+segment.
 """
 
 import pytest
@@ -17,6 +18,7 @@ from repro.fuzz.oracles import (
     assert_frame_atomicity,
     assert_preemption_bound,
 )
+from repro.schedule.reference import run_reference
 from repro.schedule.resources import ResourceClaim, ResourceKind
 from repro.schedule.streams import (
     ScenarioSpec,
@@ -34,13 +36,14 @@ ARRAY_AND_SIMD = (
 )
 TRANSFER = (ResourceClaim(ResourceKind.TRANSFER),)
 
-ENGINES = ("scalar", "vectorized")
+#: The two timeline cores by parametrize id: the scalar reference loop
+#: (the executable spec) and the vectorized production core.
+ENGINES = {"scalar": run_reference, "vectorized": TimelineScheduler.run}
 
 
 def run(policy, tasks, engine, qos=None):
-    return TimelineScheduler(policy, qos=make_qos(qos), engine=engine).run(
-        tasks
-    )
+    scheduler = TimelineScheduler(policy, qos=make_qos(qos))
+    return ENGINES[engine](scheduler, tasks)
 
 
 def segments(timeline):
@@ -242,9 +245,7 @@ class TestClosedLoopQueueCap:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_closed_loop_frames_survive_open_loop_backlog(self, engine):
         spec, plan = self.plan()
-        timeline = TimelineScheduler(
-            spec.policy, qos=make_qos(spec.qos), engine=engine
-        ).run(plan.tasks)
+        timeline = run(spec.policy, plan.tasks, engine, qos=spec.qos)
         by_stream = plan.frame_records(timeline)
         # Every closed-loop frame completes: at most one is ever waiting,
         # so a cap of 1 has nothing to shed from that stream.
@@ -262,10 +263,10 @@ class TestClosedLoopQueueCap:
         runs = {}
         for engine in ENGINES:
             _, fresh = self.plan()
-            runs[engine] = TimelineScheduler(
-                "fifo", qos=make_qos(QosSpec(kind="queue_cap", cap=1)),
-                engine=engine,
-            ).run(fresh.tasks)
+            runs[engine] = run(
+                "fifo", fresh.tasks, engine,
+                qos=QosSpec(kind="queue_cap", cap=1),
+            )
         assert runs["scalar"] == runs["vectorized"]
 
 
@@ -354,10 +355,6 @@ def test_inversion_never_exceeds_one_kernel(tasks, qos):
 @given(tasks=task_sets(), qos=st.sampled_from(QOS_CHOICES))
 @settings(max_examples=25, deadline=None)
 def test_preemptive_engines_stay_bit_identical(tasks, qos):
-    scalar = TimelineScheduler(
-        "exclusive_preempt", qos=make_qos(qos), engine="scalar"
-    ).run(tasks)
-    vector = TimelineScheduler(
-        "exclusive_preempt", qos=make_qos(qos), engine="vectorized"
-    ).run(tasks)
+    scalar = run("exclusive_preempt", tasks, "scalar", qos=qos)
+    vector = run("exclusive_preempt", tasks, "vectorized", qos=qos)
     assert scalar == vector

@@ -1,7 +1,8 @@
-"""Golden parity: the vectorized engine must match the scalar reference.
+"""Golden parity: the production timeline core must match the reference.
 
-The two cores in :mod:`repro.schedule.timeline` (scalar) and
-:mod:`repro.schedule.vectorized` are pinned to identical arithmetic in
+:meth:`TimelineScheduler.run` (the vectorized core) and
+:func:`repro.schedule.reference.run_reference` (the per-event scalar
+loop, the executable spec) are pinned to identical arithmetic in
 identical order, so every serving report must be *byte-identical*
 between them — not merely close. These tests sweep randomized scenarios
 across platforms, policies, QoS regimes, and arrival processes and
@@ -14,12 +15,8 @@ import random
 import pytest
 
 from repro.api import ScenarioSpec, Session, StreamSpec
-from repro.errors import SchedulingError
-from repro.schedule.timeline import (
-    ENGINE_NAMES,
-    TimelineScheduler,
-    default_engine,
-)
+from repro.schedule.reference import run_reference
+from repro.schedule.timeline import TimelineScheduler
 from repro.serving import ArrivalSpec
 
 MODELS = ["deeplab:nocrf", "goturn", "orb_slam"]
@@ -90,48 +87,20 @@ def _random_scenario(trial: int) -> ScenarioSpec:
 
 class TestEngineParity:
     @pytest.mark.parametrize("trial", range(24))
-    def test_serving_report_byte_identical(self, trial):
+    def test_serving_report_byte_identical(self, trial, monkeypatch):
         session = Session()
         scenario = _random_scenario(trial)
-        scalar = session.run_serving(scenario, engine="scalar").to_dict()
-        vectorized = session.run_serving(
-            scenario, engine="vectorized"
-        ).to_dict()
-        assert json.dumps(scalar, sort_keys=True) == json.dumps(
-            vectorized, sort_keys=True
+        production = session.run_serving(scenario).to_dict()
+        monkeypatch.setattr(TimelineScheduler, "run", run_reference)
+        reference = session.run_serving(scenario).to_dict()
+        assert json.dumps(production, sort_keys=True) == json.dumps(
+            reference, sort_keys=True
         ), f"engines diverged on scenario {scenario.name!r}"
 
-    def test_schedule_report_byte_identical(self):
+    def test_schedule_report_byte_identical(self, monkeypatch):
         session = Session()
         scenario = _random_scenario(7)
-        scalar = session.run_scenario(scenario, engine="scalar")
-        vectorized = session.run_scenario(scenario, engine="vectorized")
-        assert scalar.to_dict() == vectorized.to_dict()
-
-
-class TestEngineSelection:
-    def test_engine_names(self):
-        assert ENGINE_NAMES == ("scalar", "vectorized")
-
-    def test_default_engine_is_scalar(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert default_engine() == "scalar"
-        assert TimelineScheduler().engine == "scalar"
-
-    def test_env_var_selects_vectorized(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "vectorized")
-        assert default_engine() == "vectorized"
-        assert TimelineScheduler().engine == "vectorized"
-
-    def test_explicit_engine_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "vectorized")
-        assert TimelineScheduler(engine="scalar").engine == "scalar"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(SchedulingError, match="unknown timeline engine"):
-            TimelineScheduler(engine="simd")
-
-    def test_unknown_env_engine_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "warp")
-        with pytest.raises(SchedulingError):
-            TimelineScheduler()
+        production = session.run_scenario(scenario)
+        monkeypatch.setattr(TimelineScheduler, "run", run_reference)
+        reference = session.run_scenario(scenario)
+        assert production.to_dict() == reference.to_dict()

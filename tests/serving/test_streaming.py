@@ -26,6 +26,7 @@ QOS = [
     {"kind": "drop_late"},
     {"kind": "queue_cap", "cap": 2},
     {"kind": "shed", "cap": 3, "min_priority": 2},
+    {"kind": "abort_late"},
 ]
 
 
@@ -66,7 +67,9 @@ def _random_scenario(trial: int) -> ScenarioSpec:
         streams=tuple(streams),
         platform=rng.choice(["gpu-tc", "sma", "sma@a100"]),
         frames=rng.randint(1, 12),
-        policy=rng.choice(["fifo", "priority", "exclusive"]),
+        policy=rng.choice(
+            ["fifo", "priority", "exclusive", "exclusive_preempt"]
+        ),
         framework_overhead_s=rng.choice([0.0, 50e-6]),
         qos=rng.choice(QOS),
     )
