@@ -1,17 +1,24 @@
 """Typed request/response objects for the Session facade.
 
 Every Session call returns a frozen report whose fields are plain
-primitives, so results are machine-consumable — ``to_dict()`` /
-``to_json()`` export losslessly and ``from_dict()`` / ``from_json()``
-round-trip to an equal object — rather than only renderable tables.
+primitives, so results are machine-consumable rather than only
+renderable tables. Their JSON is their field list, encoded by
+:mod:`repro.common.codec`: ``to_dict()``/``to_json()`` export
+losslessly, ``from_dict()``/``from_json()`` round-trip to an equal
+object, and malformed input raises :class:`~repro.errors.ConfigError`.
+Each report carries a ``kind`` tag that :func:`report_from_dict`
+dispatches on, plus read-only derived keys (totals, percentiles) that
+are written for consumers and ignored on decode. Keys added after a
+format shipped are written only when set, so every stored payload and
+request fingerprint stays byte-identical.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, replace
 
-from repro.config import DataType
+from repro.common.codec import UNWRITTEN, WHEN_SET, Codec, decode
 from repro.errors import ConfigError
 from repro.gemm.cache import CacheStats
 from repro.gemm.executor import GemmTiming
@@ -32,7 +39,7 @@ DATAFLOW_NAMES = tuple(flow.value for flow in Dataflow)
 
 
 @dataclass(frozen=True)
-class SimRequest:
+class SimRequest(Codec, derived=("kind",)):
     """One simulation request for :meth:`repro.api.session.Session.run_batch`.
 
     Exactly one of ``model`` (a model spec such as ``"mask_rcnn"``),
@@ -58,12 +65,14 @@ class SimRequest:
     platform: str
     model: str | None = None
     gemm: GemmProblem | None = None
-    scenario: ScenarioSpec | None = None
+    # Written only when set (as is ``catalog``): model and gemm requests,
+    # and the fingerprints derived from them, predate both keys.
+    scenario: ScenarioSpec | None = field(default=None, metadata=WHEN_SET)
     tag: str | None = None
     dataflow: str | None = None
     scheduler: str | None = None
-    serving: bool = False
-    catalog: str | None = None
+    serving: bool = field(default=False, metadata=UNWRITTEN)
+    catalog: str | None = field(default=None, metadata=WHEN_SET)
 
     def __post_init__(self) -> None:
         workloads = [
@@ -108,88 +117,17 @@ class SimRequest:
             return "gemm"
         return "serving" if self.serving else "scenario"
 
-    def to_dict(self) -> dict:
-        gemm = None
-        if self.gemm is not None:
-            gemm = {
-                "m": self.gemm.m,
-                "n": self.gemm.n,
-                "k": self.gemm.k,
-                "dtype": self.gemm.dtype.value,
-                "alpha": self.gemm.alpha,
-                "beta": self.gemm.beta,
-            }
-        payload = {
-            "kind": self.kind,
-            "platform": self.platform,
-            "model": self.model,
-            "gemm": gemm,
-            "tag": self.tag,
-            "dataflow": self.dataflow,
-            "scheduler": self.scheduler,
-        }
-        # Only scenario requests carry the key: model/gemm dicts (and the
-        # content-addressed fingerprints derived from them) stay identical
-        # across commits that predate the scenario axis.
-        if self.scenario is not None:
-            payload["scenario"] = self.scenario.to_dict()
-        # Same stability rule: only catalog-backed requests carry the key,
-        # so every pre-catalog fingerprint is unchanged.
-        if self.catalog is not None:
-            payload["catalog"] = self.catalog
-        return payload
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
     @classmethod
     def from_dict(cls, data: dict) -> "SimRequest":
-        gemm = data.get("gemm")
-        if gemm is not None:
-            gemm = GemmProblem(
-                m=gemm["m"],
-                n=gemm["n"],
-                k=gemm["k"],
-                dtype=DataType(gemm.get("dtype", "fp16")),
-                alpha=gemm.get("alpha", 1.0),
-                beta=gemm.get("beta", 0.0),
-            )
-        scenario = data.get("scenario")
-        if scenario is not None:
-            scenario = ScenarioSpec.from_dict(scenario)
-        return cls(
-            platform=data["platform"],
-            model=data.get("model"),
-            gemm=gemm,
-            scenario=scenario,
-            tag=data.get("tag"),
-            dataflow=data.get("dataflow"),
-            scheduler=data.get("scheduler"),
-            serving=data.get("kind") == "serving",
-            catalog=data.get("catalog"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SimRequest":
-        return cls.from_dict(json.loads(text))
-
-
-def _check_kind(data: dict, expected: str, cls: type) -> dict:
-    kind = data.get("kind", expected)
-    if kind != expected:
-        raise ConfigError(
-            f"{cls.__name__}.from_dict got kind={kind!r}, expected"
-            f" {expected!r}"
-        )
-    return {
-        field.name: data[field.name]
-        for field in fields(cls)
-        if field.name in data
-    }
+        # Hand-written only because ``serving`` rides the "serving" kind.
+        request = decode(cls, data)
+        if data.get("kind") == "serving":
+            request = replace(request, serving=True)
+        return request
 
 
 @dataclass(frozen=True)
-class GemmReport:
+class GemmReport(Codec, kind="gemm"):
     """Timing of one GEMM on one platform, flattened to primitives."""
 
     platform: str
@@ -247,20 +185,6 @@ class GemmReport:
             scheduler=scheduler,
         )
 
-    def to_dict(self) -> dict:
-        return {"kind": "gemm", **asdict(self)}
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GemmReport":
-        return cls(**_check_kind(data, "gemm", cls))
-
-    @classmethod
-    def from_json(cls, text: str) -> "GemmReport":
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
 class OpReport:
@@ -281,7 +205,9 @@ class OpReport:
 
 
 @dataclass(frozen=True)
-class ModelReport:
+class ModelReport(
+    Codec, kind="model", derived=("total_seconds", "grouped_seconds")
+):
     """Per-op timing of one model on one platform, flattened to primitives."""
 
     model: str
@@ -335,32 +261,6 @@ class ModelReport:
             tag=tag,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "model",
-            "model": self.model,
-            "platform": self.platform,
-            "tag": self.tag,
-            "total_seconds": self.total_seconds,
-            "grouped_seconds": self.grouped_seconds(),
-            "ops": [asdict(op) for op in self.ops],
-        }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelReport":
-        kwargs = _check_kind(data, "model", cls)
-        kwargs["ops"] = tuple(
-            OpReport(**op) for op in data.get("ops", ())
-        )
-        return cls(**kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelReport":
-        return cls.from_dict(json.loads(text))
-
 
 #: Schedule reports carry the engine's own segment type — a frozen
 #: primitives-only dataclass — so the timeline is exported without a
@@ -399,7 +299,7 @@ class StreamReport:
 
 
 @dataclass(frozen=True)
-class ScheduleReport:
+class ScheduleReport(Codec, kind="schedule", derived=("avg_frame_latency_s",)):
     """The scheduled execution of one multi-stream scenario.
 
     Everything is flattened to primitives: the timeline segments, the
@@ -420,8 +320,11 @@ class ScheduleReport:
     switch_overhead_s: float = 0.0
     tag: str | None = None
     #: Kernel-granularity preemption events (deschedules and in-flight
-    #: aborts) — empty for every non-preemptive policy/QoS combination.
-    preemptions: tuple[PreemptRecord, ...] = ()
+    #: aborts) — empty for every non-preemptive policy/QoS combination,
+    #: and then not written, so pre-preemption payloads keep their bytes.
+    preemptions: tuple[PreemptRecord, ...] = field(
+        default=(), metadata=WHEN_SET
+    )
 
     @property
     def avg_frame_latency_s(self) -> float:
@@ -508,53 +411,6 @@ class ScheduleReport:
             preemptions=timeline.preemptions,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "schedule",
-            "scenario": self.scenario,
-            "platform": self.platform,
-            "policy": self.policy,
-            "frames": self.frames,
-            "makespan_s": self.makespan_s,
-            "avg_frame_latency_s": self.avg_frame_latency_s,
-            "streams": [asdict(stream) for stream in self.streams],
-            "segments": [asdict(segment) for segment in self.segments],
-            "occupancy": dict(self.occupancy),
-            "mode_switches": self.mode_switches,
-            "switch_overhead_s": self.switch_overhead_s,
-            "tag": self.tag,
-            # Emitted only when a preemptive policy/QoS actually fired, so
-            # every pre-preemption report (and store fingerprint) keeps
-            # its byte format.
-            **(
-                {"preemptions": [asdict(record) for record in self.preemptions]}
-                if self.preemptions
-                else {}
-            ),
-        }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScheduleReport":
-        kwargs = _check_kind(data, "schedule", cls)
-        kwargs["streams"] = tuple(
-            StreamReport(**stream) for stream in data.get("streams", ())
-        )
-        kwargs["segments"] = tuple(
-            TimelineSegment(**segment) for segment in data.get("segments", ())
-        )
-        kwargs["occupancy"] = dict(data.get("occupancy", {}))
-        kwargs["preemptions"] = tuple(
-            PreemptRecord(**record) for record in data.get("preemptions", ())
-        )
-        return cls(**kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScheduleReport":
-        return cls.from_dict(json.loads(text))
-
 
 #: Serving frame outcomes reuse the schedule package's own record type —
 #: a frozen primitives-only dataclass — so the per-frame data is exported
@@ -595,10 +451,11 @@ class ServingStreamReport:
     p99_s: float
     goodput_fps: float
     frames: tuple[ServingFrame, ...] = ()
-    sketches: dict | None = None
+    sketches: dict | None = field(default=None, metadata=WHEN_SET)
     #: Frames cancelled in-flight by a preemptive QoS policy (a subset of
-    #: ``dropped``); 0 for every non-preemptive policy.
-    preempted: int = 0
+    #: ``dropped``); 0 for every non-preemptive policy, and then not
+    #: written.
+    preempted: int = field(default=0, metadata=WHEN_SET)
 
     @property
     def drop_fraction(self) -> float:
@@ -641,7 +498,16 @@ class ServingStreamReport:
 
 
 @dataclass(frozen=True)
-class ServingReport:
+class ServingReport(
+    Codec,
+    kind="serving",
+    derived=(
+        "offered", "completed", "dropped", "missed", "goodput_fps",
+        "p50_s", "p95_s", "p99_s",
+    ),
+    # Same stability rule as the streams' ``preempted`` key.
+    derived_when_set=("preempted",),
+):
     """The open-loop serving outcome of one scenario on one platform.
 
     Everything is flattened to primitives — per-stream percentiles and
@@ -649,6 +515,7 @@ class ServingReport:
     losslessly through :meth:`to_dict`/:meth:`from_dict`, so serving runs
     ride the sweep engine and result store like every other workload.
     ``qos`` echoes the scenario's admission-control spec (its dict form).
+    The cross-stream aggregates are written as derived keys.
     """
 
     scenario: str
@@ -664,8 +531,9 @@ class ServingReport:
     tag: str | None = None
     #: Cross-stream latency sketch state for streaming runs (None for
     #: materialized runs — the aggregate percentiles then come from the
-    #: per-frame records).
-    sketches: dict | None = None
+    #: per-frame records — and then not written, so materialized reports
+    #: keep their pre-streaming bytes).
+    sketches: dict | None = field(default=None, metadata=WHEN_SET)
 
     def stream(self, name: str) -> ServingStreamReport:
         for stream in self.streams:
@@ -792,89 +660,28 @@ class ServingReport:
             tag=tag,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "serving",
-            "scenario": self.scenario,
-            "platform": self.platform,
-            "policy": self.policy,
-            "frames": self.frames,
-            "makespan_s": self.makespan_s,
-            "offered": self.offered,
-            "completed": self.completed,
-            "dropped": self.dropped,
-            "missed": self.missed,
-            "goodput_fps": self.goodput_fps,
-            "p50_s": self.p50_s,
-            "p95_s": self.p95_s,
-            "p99_s": self.p99_s,
-            "streams": [self._stream_dict(stream) for stream in self.streams],
-            "occupancy": dict(self.occupancy),
-            "mode_switches": self.mode_switches,
-            "switch_overhead_s": self.switch_overhead_s,
-            "qos": dict(self.qos) if self.qos is not None else None,
-            "tag": self.tag,
-            # Emitted only when set so materialized serving reports (and
-            # every store fingerprint derived from them) keep their
-            # pre-streaming byte format.
-            **({"sketches": self.sketches} if self.sketches is not None else {}),
-            # Same stability rule for the preemption aggregate.
-            **({"preempted": self.preempted} if self.preempted else {}),
-        }
 
-    @staticmethod
-    def _stream_dict(stream: ServingStreamReport) -> dict:
-        payload = asdict(stream)
-        if payload.get("sketches") is None:
-            del payload["sketches"]
-        if not payload.get("preempted"):
-            del payload["preempted"]
-        return payload
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServingReport":
-        kwargs = _check_kind(data, "serving", cls)
-        kwargs["streams"] = tuple(
-            ServingStreamReport(
-                **{
-                    **stream,
-                    "frames": tuple(
-                        ServingFrame(**frame)
-                        for frame in stream.get("frames", ())
-                    ),
-                }
-            )
-            for stream in data.get("streams", ())
-        )
-        kwargs["occupancy"] = dict(data.get("occupancy", {}))
-        return cls(**kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ServingReport":
-        return cls.from_dict(json.loads(text))
+#: The report classes :func:`report_from_dict` dispatches to, by kind.
+_REPORTS = {
+    "gemm": GemmReport,
+    "model": ModelReport,
+    "schedule": ScheduleReport,
+    "serving": ServingReport,
+}
 
 
 def report_from_dict(
     data: dict,
 ) -> "GemmReport | ModelReport | ScheduleReport | ServingReport":
     """Reconstruct any report type from its ``to_dict()`` form."""
-    kind = data.get("kind")
-    if kind == "gemm":
-        return GemmReport.from_dict(data)
-    if kind == "model":
-        return ModelReport.from_dict(data)
-    if kind == "schedule":
-        return ScheduleReport.from_dict(data)
-    if kind == "serving":
-        return ServingReport.from_dict(data)
+    kind = data.get("kind") if isinstance(data, dict) else None
     if kind == "fuzz":
         # Deferred: repro.fuzz sits above the API layer.
         from repro.fuzz.campaign import FuzzReport
 
         return FuzzReport.from_dict(data)
+    if isinstance(kind, str) and kind in _REPORTS:
+        return _REPORTS[kind].from_dict(data)
     raise ConfigError(f"unknown report kind {kind!r}")
 
 
@@ -891,6 +698,7 @@ class BatchResult:
     def __iter__(self):
         return iter(self.reports)
 
+    # Hand-written: encode-only, over reports of mixed kinds.
     def to_dict(self) -> dict:
         return {
             "reports": [report.to_dict() for report in self.reports],

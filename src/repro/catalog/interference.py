@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from repro.common.codec import checked
 from repro.errors import ConfigError
 from repro.schedule.resources import ResourceKind
 
@@ -135,6 +136,7 @@ class InterferenceMatrix:
         return pressures
 
     # -- JSON round-trip ---------------------------------------------------------------
+    # Hand-written: entries travel as one "source->victim" key each.
     def to_dict(self) -> dict:
         """``{"source->victim": factor}`` in canonical order."""
         return {
@@ -143,6 +145,7 @@ class InterferenceMatrix:
         }
 
     @classmethod
+    @checked
     def from_dict(cls, data: dict) -> "InterferenceMatrix":
         entries = []
         for key, factor in (data or {}).items():

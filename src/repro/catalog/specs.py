@@ -32,18 +32,21 @@ import hashlib
 import json
 
 from repro.catalog.interference import InterferenceMatrix
+from repro.common.codec import WHEN_SET, Codec, decode
 from repro.config import GpuConfig, TpuConfig
 from repro.errors import ConfigError
 
 _FAMILIES = ("gpu", "tpu")
 
 
-def _config_dict(config) -> dict:
-    return dataclasses.asdict(config)
+def _unknown_keys(block, config: type) -> list[str]:
+    if not isinstance(block, dict):
+        return []
+    return sorted(set(block) - {item.name for item in dataclasses.fields(config)})
 
 
 @dataclasses.dataclass(frozen=True)
-class DeviceSpec:
+class DeviceSpec(Codec):
     """One named physical part the simulator can instantiate platforms for.
 
     ``family`` selects the platform side (``"gpu"`` specs carry a
@@ -60,8 +63,8 @@ class DeviceSpec:
     year: int = 0
     area_mm2: float = 0.0
     tdp_w: float = 0.0
-    gpu: GpuConfig | None = None
-    tpu: TpuConfig | None = None
+    gpu: GpuConfig | None = dataclasses.field(default=None, metadata=WHEN_SET)
+    tpu: TpuConfig | None = dataclasses.field(default=None, metadata=WHEN_SET)
     interference: InterferenceMatrix = InterferenceMatrix()
     aliases: tuple[str, ...] = ()
 
@@ -99,58 +102,23 @@ class DeviceSpec:
         )
 
     # -- JSON round-trip ---------------------------------------------------------------
-    def to_dict(self) -> dict:
-        payload = {
-            "name": self.name,
-            "family": self.family,
-            "description": self.description,
-            "vendor": self.vendor,
-            "year": self.year,
-            "area_mm2": self.area_mm2,
-            "tdp_w": self.tdp_w,
-            "interference": self.interference.to_dict(),
-            "aliases": list(self.aliases),
-        }
-        if self.gpu is not None:
-            payload["gpu"] = _config_dict(self.gpu)
-        if self.tpu is not None:
-            payload["tpu"] = _config_dict(self.tpu)
-        return payload
-
     @classmethod
     def from_dict(cls, data: dict) -> "DeviceSpec":
-        if not isinstance(data, dict):
-            raise ConfigError(f"device spec must be a dict, got {data!r}")
-        known = {field.name for field in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(
-                f"device spec {data.get('name', '?')!r} has unknown keys"
-                f" {sorted(unknown)}"
-            )
-        kwargs = dict(data)
-        try:
-            if kwargs.get("gpu") is not None:
-                kwargs["gpu"] = GpuConfig(**kwargs["gpu"])
-            if kwargs.get("tpu") is not None:
-                kwargs["tpu"] = TpuConfig(**kwargs["tpu"])
-        except TypeError as error:
-            raise ConfigError(
-                f"device spec {data.get('name', '?')!r} has a malformed"
-                f" config block: {error}"
-            ) from None
-        kwargs["interference"] = InterferenceMatrix.from_dict(
-            kwargs.get("interference") or {}
-        )
-        kwargs["aliases"] = tuple(kwargs.get("aliases") or ())
-        return cls(**kwargs)
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DeviceSpec":
-        return cls.from_dict(json.loads(text))
+        # Hand-written check first: a catalog file may carry no unknown
+        # key, also inside its config blocks, where the codec ignores them.
+        if isinstance(data, dict):
+            name = data.get("name", "?")
+            if unknown := _unknown_keys(data, cls):
+                raise ConfigError(
+                    f"device spec {name!r} has unknown keys {unknown}"
+                )
+            for block, config in (("gpu", GpuConfig), ("tpu", TpuConfig)):
+                if unknown := _unknown_keys(data.get(block), config):
+                    raise ConfigError(
+                        f"device spec {name!r} has a malformed {block} block:"
+                        f" unknown keys {unknown}"
+                    )
+        return decode(cls, data)
 
     def fingerprint(self) -> str:
         """Short content hash of the spec's canonical JSON.

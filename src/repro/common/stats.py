@@ -16,6 +16,8 @@ import math
 from collections import defaultdict
 from typing import Iterable, Iterator, Mapping
 
+from repro.common.codec import checked
+
 
 class CounterBag:
     """A mapping of counter name -> float with arithmetic helpers.
@@ -205,6 +207,7 @@ class P2Quantile:
             return percentile(self._heights, self.p * 100.0)
         return self._heights[2]
 
+    # Hand-written: a mutable estimator whose state is private markers.
     def to_dict(self) -> dict:
         """Full marker state — round-trips the estimator exactly."""
         return {
@@ -216,6 +219,7 @@ class P2Quantile:
         }
 
     @classmethod
+    @checked
     def from_dict(cls, payload: dict) -> "P2Quantile":
         sketch = cls(payload["p"])
         sketch.count = int(payload["count"])
@@ -270,6 +274,7 @@ class QuantileSketch:
             )
         return sketch.result()
 
+    # Hand-written: a mutable accumulator keyed by quantile labels.
     def to_dict(self) -> dict:
         return {
             "count": self.count,
@@ -282,6 +287,7 @@ class QuantileSketch:
         }
 
     @classmethod
+    @checked
     def from_dict(cls, payload: dict) -> "QuantileSketch":
         sketch = cls()
         sketch.count = int(payload["count"])

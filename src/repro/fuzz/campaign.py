@@ -28,9 +28,10 @@ from __future__ import annotations
 import json
 import sqlite3
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from repro.common.codec import WHEN_SET, Codec
 from repro.errors import ConfigError
 from repro.fuzz.cases import FuzzCase
 from repro.fuzz.generators import generate_case
@@ -42,7 +43,7 @@ STATUSES = ("ok", "violation")
 
 
 @dataclass(frozen=True)
-class CaseRecord:
+class CaseRecord(Codec):
     """One executed campaign case: verdict, the case, and its reproducer."""
 
     index: int
@@ -50,8 +51,8 @@ class CaseRecord:
     family: str
     status: str
     oracles: tuple[str, ...] = ()
-    case: FuzzCase | None = None
-    reproducer: Reproducer | None = None
+    case: FuzzCase | None = field(default=None, metadata=WHEN_SET)
+    reproducer: Reproducer | None = field(default=None, metadata=WHEN_SET)
 
     def __post_init__(self) -> None:
         if self.status not in STATUSES:
@@ -64,40 +65,6 @@ class CaseRecord:
     @property
     def failed(self) -> bool:
         return self.status == "violation"
-
-    def to_dict(self) -> dict:
-        payload: dict = {
-            "index": self.index,
-            "case_id": self.case_id,
-            "family": self.family,
-            "status": self.status,
-            "oracles": list(self.oracles),
-        }
-        if self.case is not None:
-            payload["case"] = self.case.to_dict()
-        if self.reproducer is not None:
-            payload["reproducer"] = self.reproducer.to_dict()
-        return payload
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CaseRecord":
-        if not isinstance(data, dict):
-            raise ConfigError(f"case record must be an object, got {data!r}")
-        case = data.get("case")
-        reproducer = data.get("reproducer")
-        return cls(
-            index=data.get("index", 0),
-            case_id=data.get("case_id", "case"),
-            family=data.get("family", "unknown"),
-            status=data.get("status", "ok"),
-            oracles=tuple(data.get("oracles", ())),
-            case=FuzzCase.from_dict(case) if case is not None else None,
-            reproducer=(
-                Reproducer.from_dict(reproducer)
-                if reproducer is not None
-                else None
-            ),
-        )
 
 
 def run_indices(
@@ -295,7 +262,9 @@ def open_corpus(path: "str | Path | None") -> CorpusStore | None:
 
 # -- the campaign report ---------------------------------------------------------------
 @dataclass(frozen=True)
-class FuzzReport:
+class FuzzReport(
+    Codec, kind="fuzz", derived=("failure_count", "families")
+):
     """One campaign batch's outcome (deterministic: no timestamps).
 
     ``executed`` counts indices evaluated this run; ``loaded`` counts
@@ -318,6 +287,10 @@ class FuzzReport:
         return tuple(record for record in self.records if record.failed)
 
     @property
+    def failure_count(self) -> int:
+        return len(self.failures)
+
+    @property
     def ok(self) -> bool:
         return not self.failures
 
@@ -327,51 +300,6 @@ class FuzzReport:
         for record in self.records:
             counts[record.family] = counts.get(record.family, 0) + 1
         return dict(sorted(counts.items()))
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "fuzz",
-            "campaign_seed": self.campaign_seed,
-            "batch": self.batch,
-            "start": self.start,
-            "executed": self.executed,
-            "loaded": self.loaded,
-            "failure_count": len(self.failures),
-            "families": self.families(),
-            "records": [record.to_dict() for record in self.records],
-        }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FuzzReport":
-        if not isinstance(data, dict):
-            raise ConfigError(f"fuzz report must be an object, got {data!r}")
-        kind = data.get("kind", "fuzz")
-        if kind != "fuzz":
-            raise ConfigError(
-                f"FuzzReport.from_dict got kind={kind!r}, expected 'fuzz'"
-            )
-        return cls(
-            campaign_seed=data.get("campaign_seed", 0),
-            batch=data.get("batch", 0),
-            start=data.get("start", 0),
-            executed=data.get("executed", 0),
-            loaded=data.get("loaded", 0),
-            records=tuple(
-                CaseRecord.from_dict(record)
-                for record in data.get("records", ())
-            ),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FuzzReport":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ConfigError(f"invalid fuzz report JSON: {error}") from None
-        return cls.from_dict(data)
 
 
 def _run_remote(

@@ -22,12 +22,12 @@ failing wherever it is replayed.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.api.results import ScheduleReport, ServingReport
 from repro.catalog.interference import InterferenceMatrix
+from repro.common.codec import WHEN_SET, Codec
 from repro.errors import ConfigError
 from repro.schedule.policies import SchedulingPolicy, make_policy
 from repro.schedule.reference import run_reference
@@ -41,7 +41,7 @@ FUZZ_PLATFORM = "fuzz:synthetic"
 
 
 @dataclass(frozen=True)
-class TaskShape:
+class TaskShape(Codec):
     """One op of a synthetic stream template.
 
     ``claims`` are ``(resource kind, fraction)`` pairs — the primitive
@@ -53,8 +53,8 @@ class TaskShape:
     name: str
     seconds: float
     claims: tuple[tuple[str, float], ...]
-    mode: str = "simd"
-    cross_switch_s: float = 0.0
+    mode: str = field(default="simd", metadata=WHEN_SET)
+    cross_switch_s: float = field(default=0.0, metadata=WHEN_SET)
 
     def __post_init__(self) -> None:
         if self.seconds < 0:
@@ -90,33 +90,9 @@ class TaskShape:
             cross_switch_s=self.cross_switch_s,
         )
 
-    def to_dict(self) -> dict:
-        payload: dict = {
-            "name": self.name,
-            "seconds": self.seconds,
-            "claims": [list(claim) for claim in self.claims],
-        }
-        if self.mode != "simd":
-            payload["mode"] = self.mode
-        if self.cross_switch_s:
-            payload["cross_switch_s"] = self.cross_switch_s
-        return payload
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TaskShape":
-        if not isinstance(data, dict):
-            raise ConfigError(f"task shape must be an object, got {data!r}")
-        return cls(
-            name=data.get("name", "op"),
-            seconds=data.get("seconds", 0.0),
-            claims=tuple(tuple(claim) for claim in data.get("claims", ())),
-            mode=data.get("mode", "simd"),
-            cross_switch_s=data.get("cross_switch_s", 0.0),
-        )
-
 
 @dataclass(frozen=True)
-class FuzzCase:
+class FuzzCase(Codec, kind="fuzz_case"):
     """One generated adversarial scenario, replayable from JSON alone."""
 
     case_id: str
@@ -124,8 +100,10 @@ class FuzzCase:
     seed: int
     scenario: ScenarioSpec
     templates: dict[str, tuple[TaskShape, ...]]
-    interference: InterferenceMatrix | None = None
-    inject: str | None = None
+    interference: InterferenceMatrix | None = field(
+        default=None, metadata=WHEN_SET
+    )
+    inject: str | None = field(default=None, metadata=WHEN_SET)
 
     def __post_init__(self) -> None:
         templates = {
@@ -162,62 +140,6 @@ class FuzzCase:
     @property
     def n_frames(self) -> int:
         return self.scenario.frames
-
-    def to_dict(self) -> dict:
-        payload: dict = {
-            "kind": "fuzz_case",
-            "case_id": self.case_id,
-            "family": self.family,
-            "seed": self.seed,
-            "scenario": self.scenario.to_dict(),
-            "templates": {
-                name: [shape.to_dict() for shape in chain]
-                for name, chain in self.templates.items()
-            },
-        }
-        if self.interference is not None and self.interference:
-            payload["interference"] = self.interference.to_dict()
-        if self.inject is not None:
-            payload["inject"] = self.inject
-        return payload
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FuzzCase":
-        if not isinstance(data, dict):
-            raise ConfigError(f"fuzz case must be an object, got {data!r}")
-        kind = data.get("kind", "fuzz_case")
-        if kind != "fuzz_case":
-            raise ConfigError(
-                f"FuzzCase.from_dict got kind={kind!r}, expected 'fuzz_case'"
-            )
-        interference = data.get("interference")
-        return cls(
-            case_id=data.get("case_id", "case"),
-            family=data.get("family", "unknown"),
-            seed=data.get("seed", 0),
-            scenario=ScenarioSpec.from_dict(data["scenario"]),
-            templates={
-                name: tuple(TaskShape.from_dict(shape) for shape in chain)
-                for name, chain in data.get("templates", {}).items()
-            },
-            interference=(
-                InterferenceMatrix.from_dict(interference)
-                if interference is not None
-                else None
-            ),
-            inject=data.get("inject"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FuzzCase":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ConfigError(f"invalid fuzz case JSON: {error}") from None
-        return cls.from_dict(data)
 
     def save(self, path: "str | Path") -> None:
         Path(path).write_text(self.to_json(indent=2), encoding="utf-8")

@@ -73,8 +73,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
+from repro.common.codec import Codec
 from repro.common.stats import percentile
-from repro.errors import ConfigError, SchedulingError
+from repro.errors import SchedulingError
 from repro.fuzz.cases import CaseResult, FuzzCase, run_case
 from repro.schedule.timeline import OpTask, Timeline
 
@@ -106,23 +107,11 @@ ORACLE_NAMES = (
 
 
 @dataclass(frozen=True)
-class Violation:
+class Violation(Codec):
     """One oracle failure: which invariant broke and how."""
 
     oracle: str
     message: str
-
-    def to_dict(self) -> dict:
-        return {"oracle": self.oracle, "message": self.message}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Violation":
-        if not isinstance(data, dict):
-            raise ConfigError(f"violation must be an object, got {data!r}")
-        return cls(
-            oracle=data.get("oracle", "unknown"),
-            message=data.get("message", ""),
-        )
 
 
 # -- timeline-level oracles ------------------------------------------------------------

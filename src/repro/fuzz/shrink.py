@@ -36,10 +36,10 @@ reproducer always uses the full pack.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from repro.common.codec import WHEN_SET, Codec
 from repro.errors import ConfigError
 from repro.fuzz.cases import FuzzCase
 from repro.fuzz.oracles import CaseOutcome, Violation, evaluate_case
@@ -52,65 +52,18 @@ _DEEP_ORACLES = frozenset(
 
 
 @dataclass(frozen=True)
-class Reproducer:
-    """A minimized failing case plus the violations it must reproduce."""
+class Reproducer(Codec, kind="fuzz_reproducer"):
+    """A minimized failing case plus the violations it must reproduce.
+
+    Decoding ignores unknown keys, so older files that still carry an
+    ``engine`` key (from when the timeline core was selectable) load.
+    """
 
     case: FuzzCase
     oracles: tuple[str, ...]
     violations: tuple[Violation, ...]
-    campaign_seed: int | None = None
-    index: int | None = None
-
-    def to_dict(self) -> dict:
-        payload: dict = {
-            "kind": "fuzz_reproducer",
-            "case": self.case.to_dict(),
-            "oracles": list(self.oracles),
-            "violations": [
-                violation.to_dict() for violation in self.violations
-            ],
-        }
-        if self.campaign_seed is not None:
-            payload["campaign_seed"] = self.campaign_seed
-        if self.index is not None:
-            payload["index"] = self.index
-        return payload
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Reproducer":
-        """Load a reproducer; an ``engine`` key, which older files carry
-        from when the timeline core was selectable, is ignored."""
-        if not isinstance(data, dict):
-            raise ConfigError(f"reproducer must be an object, got {data!r}")
-        kind = data.get("kind", "fuzz_reproducer")
-        if kind != "fuzz_reproducer":
-            raise ConfigError(
-                f"Reproducer.from_dict got kind={kind!r}, expected"
-                " 'fuzz_reproducer'"
-            )
-        if "case" not in data:
-            raise ConfigError("reproducer is missing its embedded case")
-        return cls(
-            case=FuzzCase.from_dict(data["case"]),
-            oracles=tuple(data.get("oracles", ())),
-            violations=tuple(
-                Violation.from_dict(violation)
-                for violation in data.get("violations", ())
-            ),
-            campaign_seed=data.get("campaign_seed"),
-            index=data.get("index"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Reproducer":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ConfigError(f"invalid reproducer JSON: {error}") from None
-        return cls.from_dict(data)
+    campaign_seed: int | None = field(default=None, metadata=WHEN_SET)
+    index: int | None = field(default=None, metadata=WHEN_SET)
 
     def save(self, path: "str | Path") -> None:
         Path(path).write_text(self.to_json(indent=2), encoding="utf-8")

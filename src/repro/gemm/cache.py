@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Hashable
 
+from repro.common.codec import Codec
 from repro.config import DataType, SystemConfig
 from repro.errors import ConfigError
 
@@ -40,7 +41,7 @@ WindowKey = tuple[Hashable, ...]
 
 
 @dataclass(frozen=True)
-class CacheStats:
+class CacheStats(Codec, derived=("hit_rate",)):
     """Hit/miss counters of a :class:`TimingCache` at one point in time."""
 
     hits: int = 0
@@ -82,15 +83,6 @@ class CacheStats:
             window_hits=self.window_hits + other.window_hits,
             window_misses=self.window_misses + other.window_misses,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "window_hits": self.window_hits,
-            "window_misses": self.window_misses,
-        }
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,10 @@ structured :class:`TraceEvent` view is materialized lazily via
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.common.codec import WHEN_SET, Codec, checked
 from repro.errors import ConfigError
 
 #: Every event kind a tracer can record, in no particular order.
@@ -37,7 +38,7 @@ EVENT_KINDS = ("begin", "end", "switch", "drop", "abort", "deschedule")
 
 
 @dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(Codec):
     """One structured trace event (the lazy view over a tuple record).
 
     ``release_s`` (begin only) is the instant the frame became runnable —
@@ -53,11 +54,11 @@ class TraceEvent:
     name: str
     stream: str
     frame: int
-    mode: str = "simd"
-    release_s: float | None = None
-    resources: tuple[str, ...] = ()
-    reason: str | None = None
-    cost_s: float | None = None
+    mode: str = field(default="simd", metadata=WHEN_SET)
+    release_s: float | None = field(default=None, metadata=WHEN_SET)
+    resources: tuple[str, ...] = field(default=(), metadata=WHEN_SET)
+    reason: str | None = field(default=None, metadata=WHEN_SET)
+    cost_s: float | None = field(default=None, metadata=WHEN_SET)
 
     def __post_init__(self) -> None:
         if self.kind not in EVENT_KINDS:
@@ -66,45 +67,6 @@ class TraceEvent:
                 f" {self.kind!r}"
             )
         object.__setattr__(self, "resources", tuple(self.resources))
-
-    def to_dict(self) -> dict:
-        payload: dict = {
-            "kind": self.kind,
-            "time_s": self.time_s,
-            "uid": self.uid,
-            "name": self.name,
-            "stream": self.stream,
-            "frame": self.frame,
-        }
-        if self.mode != "simd":
-            payload["mode"] = self.mode
-        if self.release_s is not None:
-            payload["release_s"] = self.release_s
-        if self.resources:
-            payload["resources"] = list(self.resources)
-        if self.reason is not None:
-            payload["reason"] = self.reason
-        if self.cost_s is not None:
-            payload["cost_s"] = self.cost_s
-        return payload
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TraceEvent":
-        if not isinstance(data, dict):
-            raise ConfigError(f"trace event must be an object, got {data!r}")
-        return cls(
-            kind=data.get("kind", "begin"),
-            time_s=data.get("time_s", 0.0),
-            uid=data.get("uid", 0),
-            name=data.get("name", "op"),
-            stream=data.get("stream", ""),
-            frame=data.get("frame", 0),
-            mode=data.get("mode", "simd"),
-            release_s=data.get("release_s"),
-            resources=tuple(data.get("resources", ())),
-            reason=data.get("reason"),
-            cost_s=data.get("cost_s"),
-        )
 
 
 class Tracer:
@@ -188,6 +150,7 @@ class Tracer:
                  resources, reason, cost_s) in self.records
         )
 
+    # Hand-written: the events are stored as raw tuples, not fields.
     def to_dict(self) -> dict:
         return {
             "kind": "trace",
@@ -198,6 +161,7 @@ class Tracer:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     @classmethod
+    @checked
     def from_dict(cls, data: dict) -> "Tracer":
         if not isinstance(data, dict):
             raise ConfigError(f"trace must be an object, got {data!r}")

@@ -17,9 +17,9 @@ the result store exactly like model and GEMM workloads.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
+from repro.common.codec import WHEN_SET, Codec
 from repro.errors import ConfigError, SchedulingError
 from repro.schedule.policies import POLICY_NAMES
 from repro.schedule.timeline import OpTask, Timeline
@@ -28,7 +28,7 @@ from repro.serving.traces import ArrivalSpec, generate_arrivals, iter_arrivals
 
 
 @dataclass(frozen=True)
-class StreamSpec:
+class StreamSpec(Codec):
     """One concurrent model stream inside a scenario.
 
     ``priority`` is the stream's share weight under the ``priority``
@@ -50,7 +50,9 @@ class StreamSpec:
     skip_interval: int = 1
     period_s: float | None = None
     deadline_s: float | None = None
-    arrivals: ArrivalSpec | None = None
+    # Written only when set, so closed-loop specs (and the sweep
+    # fingerprints derived from them) keep their pre-serving bytes.
+    arrivals: ArrivalSpec | None = field(default=None, metadata=WHEN_SET)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -113,47 +115,9 @@ class StreamSpec:
             self.arrivals is not None and self.arrivals.kind == "closed_loop"
         )
 
-    def to_dict(self) -> dict:
-        payload = {
-            "name": self.name,
-            "model": self.model,
-            "priority": self.priority,
-            "skip_interval": self.skip_interval,
-            "period_s": self.period_s,
-            "deadline_s": self.deadline_s,
-        }
-        # Emitted only when set so closed-loop specs (and the sweep
-        # fingerprints derived from them) are byte-identical to the
-        # pre-serving format.
-        if self.arrivals is not None:
-            payload["arrivals"] = self.arrivals.to_dict()
-        return payload
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StreamSpec":
-        if not isinstance(data, dict):
-            raise ConfigError(f"stream spec must be an object, got {data!r}")
-        for key in ("name", "model"):
-            if key not in data:
-                raise ConfigError(f"stream spec is missing {key!r}: {data!r}")
-        arrivals = data.get("arrivals")
-        return cls(
-            name=data["name"],
-            model=data["model"],
-            priority=data.get("priority", 1.0),
-            skip_interval=data.get("skip_interval", 1),
-            period_s=data.get("period_s"),
-            deadline_s=data.get("deadline_s"),
-            arrivals=(
-                ArrivalSpec.from_dict(arrivals)
-                if arrivals is not None
-                else None
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Codec):
     """N concurrent streams, a frame count, and a scheduling policy.
 
     ``platform`` may be left ``None`` when the scenario is swept across a
@@ -168,7 +132,8 @@ class ScenarioSpec:
     frames: int = 1
     policy: str = "fifo"
     framework_overhead_s: float | None = None
-    qos: QosSpec | None = None
+    # Written only when set, for the same reason as StreamSpec.arrivals.
+    qos: QosSpec | None = field(default=None, metadata=WHEN_SET)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -205,53 +170,6 @@ class ScenarioSpec:
             if stream.name == name:
                 return stream
         raise ConfigError(f"scenario {self.name!r} has no stream {name!r}")
-
-    def to_dict(self) -> dict:
-        payload = {
-            "name": self.name,
-            "platform": self.platform,
-            "frames": self.frames,
-            "policy": self.policy,
-            "framework_overhead_s": self.framework_overhead_s,
-            "streams": [stream.to_dict() for stream in self.streams],
-        }
-        # Conditional for the same fingerprint-stability reason as
-        # StreamSpec.arrivals.
-        if self.qos is not None:
-            payload["qos"] = self.qos.to_dict()
-        return payload
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioSpec":
-        if not isinstance(data, dict):
-            raise ConfigError(
-                f"scenario spec must be an object, got {data!r}"
-            )
-        if "name" not in data:
-            raise ConfigError(f"scenario spec is missing 'name': {data!r}")
-        qos = data.get("qos")
-        return cls(
-            name=data["name"],
-            platform=data.get("platform"),
-            frames=data.get("frames", 1),
-            policy=data.get("policy", "fifo"),
-            framework_overhead_s=data.get("framework_overhead_s"),
-            qos=QosSpec.from_dict(qos) if qos is not None else None,
-            streams=tuple(
-                StreamSpec.from_dict(item) for item in data.get("streams", ())
-            ),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ConfigError(f"invalid scenario JSON: {error}") from None
-        return cls.from_dict(data)
 
 
 @dataclass(frozen=True)

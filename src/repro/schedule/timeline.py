@@ -30,11 +30,6 @@ from repro.errors import SchedulingError
 from repro.schedule.policies import SchedulingPolicy, make_policy
 from repro.schedule.resources import ResourceClaim, ResourceKind
 
-#: Modes that live on the (temporally shared) MAC substrate; dispatching a
-#: task whose mode differs from the substrate's current one is a mode
-#: switch (drain/fill + warp-set resync) when it crosses streams.
-_MAC_MODES = ("simd", "systolic")
-
 #: The claim kinds that place a task on the MAC substrate when held as a
 #: *primary* (full) claim.
 _SUBSTRATE_KINDS = (ResourceKind.SIMD, ResourceKind.ARRAY)

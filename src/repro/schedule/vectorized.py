@@ -610,11 +610,11 @@ class VectorCore:
         without the generic loop's per-event scans.
 
         Every condensed step is provably identical to one full reference-loop
-        iteration: nothing else is ready, the next pending release and
-        the QoS horizon land strictly after the step's completion (so the
-        release drain and review would be no-ops — admission policies
-        guarantee their decision is constant before ``next_event``), and
-        the completed task's single successor is dispatchable alone.
+        iteration: nothing else is ready, the next pending release, frame
+        arrival and QoS horizon land strictly after the step's completion
+        (so the release drain and review would be no-ops — admission
+        policies guarantee their decision is constant before ``next_event``),
+        and the completed task's single successor is dispatchable alone.
         Returns True when at least one step was condensed.
         """
         if not self._fast_ok:
@@ -650,6 +650,7 @@ class VectorCore:
         by_uid = self.by_uid
         dependents = self.dependents
         pending = self.pending
+        arrivals = self.arrival_heap
         chain_cache = self._chain_cache
         collect = self.collect
         completion_order = self.completion_order
@@ -675,6 +676,8 @@ class VectorCore:
             if pending and pending[0][0] <= completion:
                 break
             if horizon is not None and horizon <= completion:
+                break
+            if arrivals and arrivals[0][0] <= completion:
                 break
             if ihorizon is not None and ihorizon <= completion:
                 break

@@ -23,8 +23,9 @@ engine and result store like every other scenario knob.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from repro.common.codec import WHEN_SET, Codec
 from repro.errors import ConfigError
 
 #: The admission-control policy kinds a scenario may declare.
@@ -32,7 +33,7 @@ QOS_KINDS = ("drop_late", "queue_cap", "shed", "abort_late")
 
 
 @dataclass(frozen=True)
-class QosSpec:
+class QosSpec(Codec):
     """Declarative admission control for one scenario.
 
     * ``drop_late`` — drop a queued frame the moment it can no longer
@@ -50,9 +51,9 @@ class QosSpec:
     """
 
     kind: str
-    cap: int | None = None
-    slack_s: float = 0.0
-    min_priority: float | None = None
+    cap: int | None = field(default=None, metadata=WHEN_SET)
+    slack_s: float = field(default=0.0, metadata=WHEN_SET)
+    min_priority: float | None = field(default=None, metadata=WHEN_SET)
 
     def __post_init__(self) -> None:
         if self.kind not in QOS_KINDS:
@@ -66,29 +67,6 @@ class QosSpec:
                 )
         if self.slack_s < 0:
             raise ConfigError(f"qos slack must be >= 0, got {self.slack_s}")
-
-    def to_dict(self) -> dict:
-        payload: dict = {"kind": self.kind}
-        if self.cap is not None:
-            payload["cap"] = self.cap
-        if self.slack_s:
-            payload["slack_s"] = self.slack_s
-        if self.min_priority is not None:
-            payload["min_priority"] = self.min_priority
-        return payload
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "QosSpec":
-        if not isinstance(data, dict):
-            raise ConfigError(f"qos spec must be an object, got {data!r}")
-        if "kind" not in data:
-            raise ConfigError(f"qos spec is missing 'kind': {data!r}")
-        return cls(
-            kind=data["kind"],
-            cap=data.get("cap"),
-            slack_s=data.get("slack_s", 0.0),
-            min_priority=data.get("min_priority"),
-        )
 
 
 class AdmissionPolicy:

@@ -20,10 +20,11 @@ round-trip that makes serving runs reproducible across processes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from repro.api.results import ServingReport, SimRequest
 from repro.api.session import Session
+from repro.common.codec import WHEN_SET, Codec
 from repro.errors import ConfigError
 from repro.schedule.streams import ScenarioSpec
 from repro.serving.traces import ArrivalSpec, ArrivalTrace
@@ -103,11 +104,12 @@ def apply_trace(spec: ScenarioSpec, trace: ArrivalTrace) -> ScenarioSpec:
 
 
 @dataclass(frozen=True)
-class SloPoint:
+class SloPoint(Codec):
     """One (platform, arrival rate) cell of the exploration.
 
     ``device``/``area_mm2``/``tdp_w`` carry the device-catalog metadata
-    of catalog-backed platforms (``None`` for hand-coded ones) so a
+    of catalog-backed platforms (``None`` for hand-coded ones, and then
+    not written, so non-catalog points keep their JSON shape) so a
     report can rank device classes by silicon or power efficiency.
     """
 
@@ -124,37 +126,18 @@ class SloPoint:
     tail_s: float
     goodput_fps: float
     meets_slo: bool
-    device: str | None = None
-    area_mm2: float | None = None
-    tdp_w: float | None = None
-
-    def to_dict(self) -> dict:
-        payload = {
-            "platform": self.platform,
-            "rate_hz": self.rate_hz,
-            "offered": self.offered,
-            "completed": self.completed,
-            "dropped": self.dropped,
-            "missed": self.missed,
-            "mean_s": self.mean_s,
-            "p50_s": self.p50_s,
-            "p95_s": self.p95_s,
-            "p99_s": self.p99_s,
-            "tail_s": self.tail_s,
-            "goodput_fps": self.goodput_fps,
-            "meets_slo": self.meets_slo,
-        }
-        # Catalog metadata only when present: non-catalog reports keep
-        # their historical JSON shape.
-        if self.device is not None:
-            payload["device"] = self.device
-            payload["area_mm2"] = self.area_mm2
-            payload["tdp_w"] = self.tdp_w
-        return payload
+    device: str | None = field(default=None, metadata=WHEN_SET)
+    area_mm2: float | None = field(default=None, metadata=WHEN_SET)
+    tdp_w: float | None = field(default=None, metadata=WHEN_SET)
 
 
 @dataclass(frozen=True)
-class SloReport:
+class SloReport(
+    Codec,
+    kind="slo",
+    derived=("max_sustainable",),
+    derived_when_set=("slo_per_mm2",),
+):
     """The exploration's outcome: every point plus the per-platform max.
 
     ``max_sustainable`` maps each platform to the highest swept rate
@@ -225,24 +208,13 @@ class SloReport:
             sorted(ranked, key=lambda item: (-item[1], item[0]))
         )
 
-    def to_dict(self) -> dict:
-        payload = {
-            "kind": "slo",
-            "scenario": self.scenario,
-            "mode": self.mode,
-            "slo_s": self.slo_s,
-            "percentile_q": self.percentile_q,
-            "max_drop_fraction": self.max_drop_fraction,
-            "max_sustainable": self.max_sustainable,
-            "points": [point.to_dict() for point in self.points],
-        }
-        ranking = self.rank_by_slo_per_mm2()
-        if ranking:
-            payload["slo_per_mm2"] = {
-                platform: efficiency for platform, efficiency in ranking
-            }
-        return payload
+    @property
+    def slo_per_mm2(self) -> dict[str, float]:
+        """:meth:`rank_by_slo_per_mm2` as a mapping, best first."""
+        return dict(self.rank_by_slo_per_mm2())
 
+    # Unsorted, unlike Codec.to_json: key order carries the platform
+    # order of max_sustainable and the slo_per_mm2 ranking.
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), indent=indent)
 

@@ -28,6 +28,7 @@ import random
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from repro.common.codec import checked
 from repro.common.seeding import derive_seed
 from repro.errors import ConfigError
 
@@ -160,6 +161,7 @@ class ArrivalSpec:
             burst = burst * (rate_hz / self.rate_hz)
         return replace(self, rate_hz=rate_hz, period_s=None, burst_rate_hz=burst)
 
+    # Hand-written: which keys are written depends on the arrival kind.
     def to_dict(self) -> dict:
         payload: dict = {"kind": self.kind, "seed": self.seed}
         if self.rate_hz is not None:
@@ -177,6 +179,7 @@ class ArrivalSpec:
         return payload
 
     @classmethod
+    @checked
     def from_dict(cls, data: dict) -> "ArrivalSpec":
         if not isinstance(data, dict):
             raise ConfigError(f"arrival spec must be an object, got {data!r}")
@@ -294,6 +297,8 @@ class ArrivalTrace:
             {name: tuple(times) for name, times in self.streams.items()},
         )
 
+    # Hand-written: its decoder's errors name the --trace mix-ups the
+    # serve command reports (a report given as a trace, non-numeric times).
     def to_dict(self) -> dict:
         return {
             "kind": "arrival_trace",
@@ -308,6 +313,7 @@ class ArrivalTrace:
         return json.dumps(self.to_dict(), indent=indent)
 
     @classmethod
+    @checked
     def from_dict(cls, data: dict) -> "ArrivalTrace":
         if not isinstance(data, dict) or not isinstance(
             data.get("streams"), dict

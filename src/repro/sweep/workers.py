@@ -60,6 +60,7 @@ class SweepResult:
             for point, report in zip(self.grid.points, self.reports)
         }
 
+    # Hand-written: encode-only, with each report keyed by its request ID.
     def to_dict(self) -> dict:
         return {
             "jobs": self.jobs,
@@ -177,9 +178,6 @@ def shard_points(
     for position, point in enumerate(points):
         shards[position % jobs].append(point)
     return [shard for shard in shards if shard]
-
-
-_shard = shard_points
 
 
 def load_resumable(

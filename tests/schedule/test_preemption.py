@@ -358,3 +358,27 @@ def test_preemptive_engines_stay_bit_identical(tasks, qos):
     scalar = run("exclusive_preempt", tasks, "scalar", qos=qos)
     vector = run("exclusive_preempt", tasks, "vectorized", qos=qos)
     assert scalar == vector
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_queue_cap_reviews_an_arrival_inside_a_solo_chain(engine):
+    """Frames 1 and 2 arrive, waiting on frame 0, as its first kernel
+    ends: the review drops frame 2 then, not a kernel later."""
+    tasks = [
+        OpTask(
+            uid=uid,
+            name=f"s/f{frame}/op{uid}",
+            seconds=1.0 if frame == 0 else 0.0,
+            claims=SIMD,
+            stream="s",
+            frame=frame,
+            deps=() if uid == 0 else (uid - 1,),
+            release_s=0.0 if frame == 0 else 1.0,
+            frame_head=uid in (0, 3, 4),
+        )
+        for uid, frame in enumerate((0, 0, 0, 1, 2))
+    ]
+    timeline = run("fifo", tasks, engine, qos=QosSpec(kind="queue_cap", cap=1))
+    assert [(drop.name, drop.time_s) for drop in timeline.drops] == [
+        ("s/f2/op4", 1.0)
+    ]
