@@ -4,11 +4,13 @@ A :class:`ScenarioSpec` declares N concurrent model streams — each a
 registry model spec with a priority, an optional frame period/deadline,
 and a skip interval (run the model every Nth frame only, the paper's
 detection frame-skipping) — plus how many frames to simulate and the
-scheduling policy. :func:`instantiate_frames` turns per-stream lowered
-task templates into one flat task set for the
-:class:`~repro.schedule.timeline.TimelineScheduler`: per-frame task
-chains, serialized within a stream, released at the frame's arrival time,
-weighted by stream priority.
+scheduling policy. A :class:`FrameSource` turns one stream's lowered
+task template into frames, one at a time: per-frame task chains,
+serialized within a stream, released at the frame's arrival time,
+weighted by stream priority. :func:`instantiate_frames` drains every
+stream's source into one flat task set for the
+:class:`~repro.schedule.timeline.TimelineScheduler`; the streaming
+serving driver pulls frames as it needs them.
 
 Specs are frozen primitives with lossless JSON round-trip, so scenarios
 ride :class:`~repro.api.results.SimRequest` through the sweep engine and
@@ -17,14 +19,16 @@ the result store exactly like model and GEMM workloads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterator
+from dataclasses import dataclass, field
+from itertools import repeat
 
 from repro.common.codec import WHEN_SET, Codec
 from repro.errors import ConfigError, SchedulingError
 from repro.schedule.policies import POLICY_NAMES
-from repro.schedule.timeline import OpTask, Timeline
+from repro.schedule.timeline import DropRecord, OpTask, PreemptRecord, Timeline
 from repro.serving.qos import QosSpec
-from repro.serving.traces import ArrivalSpec, generate_arrivals, iter_arrivals
+from repro.serving.traces import ArrivalSpec, iter_arrivals
 
 
 @dataclass(frozen=True)
@@ -92,21 +96,32 @@ class StreamSpec(Codec):
     def release_times(self, frames: int) -> tuple[float, ...]:
         """Release time per frame slot (may be shorter for replay traces).
 
-        Closed-loop streams release frame k at ``k * period_s`` (or all
-        at t=0 without a period); open-loop streams release at the
-        arrival process's times, salted by the stream name so sibling
-        streams draw independent deterministic arrivals.
+        Closed-loop streams have no static release schedule and raise.
         """
-        if self.arrivals is None:
-            if self.period_s is None:
-                return tuple(0.0 for _ in range(frames))
-            return tuple(frame * self.period_s for frame in range(frames))
-        if self.arrivals.kind == "closed_loop":
+        if self.closed_loop:
             raise ConfigError(
                 f"stream {self.name!r}: closed_loop arrivals have no static"
                 " release schedule (releases are paced by completions)"
             )
-        return generate_arrivals(self.arrivals, frames, salt=self.name)
+        return tuple(self.iter_release_times(frames))
+
+    def iter_release_times(self, frames: int) -> Iterator[float]:
+        """Each frame slot's static release time, produced lazily.
+
+        Without ``arrivals`` frame k is released at ``k * period_s`` (or
+        all at t=0 without a period); open-loop streams release at the
+        arrival process's times, salted by the stream name so sibling
+        streams draw independent deterministic arrivals. A closed-loop
+        stream's frames are all released at t=0 too: that is only their
+        floor, the engine releases each one ``think_s`` after the frame
+        before it resolves.
+        """
+        if self.arrivals is not None and not self.closed_loop:
+            return iter_arrivals(self.arrivals, frames, salt=self.name)
+        if self.period_s is None:
+            return repeat(0.0, frames)
+        period = self.period_s
+        return (frame * period for frame in range(frames))
 
     @property
     def closed_loop(self) -> bool:
@@ -205,6 +220,45 @@ class FrameRecord:
     dropped: bool
     drop_reason: str | None = None
 
+    @classmethod
+    def from_run(
+        cls,
+        run: FrameRun,
+        release_s: float,
+        completion_s: float | None,
+        drop: DropRecord | PreemptRecord | None,
+    ) -> "FrameRecord":
+        """``run``'s outcome, released at ``release_s``.
+
+        With a ``drop`` (the drop or abort record that cancelled the
+        frame) the frame is dropped for its reason; otherwise it completed
+        at ``completion_s`` and missed its deadline if its latency is
+        strictly longer.
+        """
+        if drop is not None:
+            return cls(
+                stream=run.stream,
+                frame=run.frame,
+                release_s=release_s,
+                deadline_s=run.deadline_s,
+                completion_s=None,
+                latency_s=None,
+                missed=False,
+                dropped=True,
+                drop_reason=drop.reason,
+            )
+        latency = completion_s - release_s
+        return cls(
+            stream=run.stream,
+            frame=run.frame,
+            release_s=release_s,
+            deadline_s=run.deadline_s,
+            completion_s=completion_s,
+            latency_s=latency,
+            missed=run.deadline_s is not None and latency > run.deadline_s,
+            dropped=False,
+        )
+
 
 @dataclass(frozen=True)
 class FramePlan:
@@ -250,53 +304,13 @@ class FramePlan:
                 drop = next(
                     (aborts[uid] for uid in run.uids if uid in aborts), None
                 )
-            if drop is not None:
-                record = FrameRecord(
-                    stream=run.stream,
-                    frame=run.frame,
-                    release_s=release,
-                    deadline_s=run.deadline_s,
-                    completion_s=None,
-                    latency_s=None,
-                    missed=False,
-                    dropped=True,
-                    drop_reason=drop.reason,
-                )
-            else:
+            completion = None
+            if drop is None:
                 completion = max(ends[uid] for uid in run.uids)
-                latency = completion - release
-                record = FrameRecord(
-                    stream=run.stream,
-                    frame=run.frame,
-                    release_s=release,
-                    deadline_s=run.deadline_s,
-                    completion_s=completion,
-                    latency_s=latency,
-                    missed=(
-                        run.deadline_s is not None and latency > run.deadline_s
-                    ),
-                    dropped=False,
-                )
-            records.setdefault(run.stream, []).append(record)
+            records.setdefault(run.stream, []).append(
+                FrameRecord.from_run(run, release, completion, drop)
+            )
         return records
-
-    def frame_latencies(self, timeline: Timeline) -> dict[str, list[tuple]]:
-        """Per stream: ``(frame, release, completion, latency, missed)``
-        for every *completed* frame (dropped frames are omitted)."""
-        latencies: dict[str, list[tuple]] = {}
-        for stream, records in self.frame_records(timeline).items():
-            latencies[stream] = [
-                (
-                    record.frame,
-                    record.release_s,
-                    record.completion_s,
-                    record.latency_s,
-                    record.missed,
-                )
-                for record in records
-                if not record.dropped
-            ]
-        return latencies
 
 
 def instantiate_frames(
@@ -306,89 +320,33 @@ def instantiate_frames(
 
     ``templates`` maps stream names to the platform-lowered single-run
     task chain of that stream's model (uids and deps are re-based here).
-    Frame k of a stream is released at the stream's k-th release time —
-    periodic for closed-loop streams, the arrival process's times for
-    open-loop ones (a replay trace shorter than ``spec.frames`` simply
-    yields fewer frames).
+    The plan holds every frame of every :func:`frame_sources` source,
+    drained in stream order: frame k of a stream is released at the
+    stream's k-th static release time (a replay trace shorter than
+    ``spec.frames`` simply yields fewer frames).
     """
-    for stream in spec.streams:
-        if stream.name not in templates:
-            raise SchedulingError(
-                f"no lowered tasks for stream {stream.name!r}"
-            )
-        if not templates[stream.name]:
-            raise SchedulingError(
-                f"stream {stream.name!r} lowered to an empty task list"
-            )
     tasks: list[OpTask] = []
     runs: list[FrameRun] = []
     skipped: dict[str, int] = {}
-    uid = 0
-    for stream in spec.streams:
-        template = templates[stream.name]
-        previous_last: int | None = None
-        skipped[stream.name] = 0
-        closed = stream.closed_loop
-        think = stream.arrivals.think_s if closed else 0.0
-        releases = (
-            tuple(0.0 for _ in range(spec.frames))
-            if closed
-            else stream.release_times(spec.frames)
-        )
-        for frame, release in enumerate(releases):
-            if frame % stream.skip_interval != 0:
-                skipped[stream.name] += 1
-                continue
-            # A closed-loop frame (after the first) is paced by the
-            # previous executed frame: released think_s after it resolves.
-            pacing = closed and previous_last is not None
-            uids = []
-            for position, task in enumerate(template):
-                if position == 0:
-                    deps = () if previous_last is None else (previous_last,)
-                else:
-                    deps = (uid - 1,)
-                tasks.append(
-                    replace(
-                        task,
-                        uid=uid,
-                        stream=stream.name,
-                        frame=frame,
-                        deps=deps,
-                        release_s=release,
-                        weight=stream.priority,
-                        deadline_s=stream.deadline_s,
-                        frame_head=position == 0,
-                        think_s=think if pacing and position == 0 else None,
-                    )
-                )
-                uids.append(uid)
-                uid += 1
-            runs.append(
-                FrameRun(
-                    stream=stream.name,
-                    frame=frame,
-                    release_s=release,
-                    deadline_s=stream.deadline_s,
-                    uids=tuple(uids),
-                    release_dep=previous_last if pacing else None,
-                    think_s=think if pacing else 0.0,
-                )
-            )
-            previous_last = uids[-1]
+    for source in frame_sources(spec, templates):
+        for run, frame_tasks in iter(source.next_frame, None):
+            runs.append(run)
+            tasks.extend(frame_tasks)
+        skipped[source.stream.name] = source.skipped
     return FramePlan(tasks=tuple(tasks), runs=tuple(runs), skipped=skipped)
 
 
 class FrameSource:
-    """One open-loop stream's frames, produced lazily one at a time.
+    """One stream's frames, produced lazily one at a time.
 
-    Emits exactly the :class:`FrameRun`/task batches
-    :func:`instantiate_frames` would build for this stream — same uids
-    (``uid_base`` pre-computed from the scenario's stream order), same
-    deps, same releases — without materializing the trace, so a
-    million-frame stream costs one frame of memory at a time. Closed-loop
-    streams have no static schedule and are rejected by
-    :func:`frame_sources`.
+    The one place a stream's lowered template becomes frame tasks: frame
+    k's chain is re-based to fresh uids, its head depends on the previous
+    executed frame's last task, and it carries the stream's priority as
+    weight and the frame's static release and deadline. A closed-loop
+    frame after the first is paced by that dependency: its head is
+    released ``think_s`` after it resolves. Releases are drawn from
+    :meth:`StreamSpec.iter_release_times` as frames are asked for, so a
+    million-frame stream costs one frame of memory at a time.
     """
 
     def __init__(
@@ -397,96 +355,77 @@ class FrameSource:
     ) -> None:
         self.stream = stream
         self.template = template
-        self.frames = frames
         self.uid = uid_base
         self.skipped = 0
-        self._slot = 0
+        self._slots = enumerate(stream.iter_release_times(frames))
+        self._think = stream.arrivals.think_s if stream.closed_loop else None
         self._previous_last: int | None = None
-        if stream.arrivals is None:
-            if stream.period_s is None:
-                self._releases = iter(0.0 for _ in range(frames))
-            else:
-                period = stream.period_s
-                self._releases = iter(
-                    frame * period for frame in range(frames)
-                )
-        else:
-            self._releases = iter_arrivals(
-                stream.arrivals, frames, salt=stream.name
-            )
 
     def next_frame(self) -> "tuple[FrameRun, list[OpTask]] | None":
         """The stream's next executed frame, or ``None`` when exhausted."""
         stream = self.stream
-        while True:
-            if self._slot >= self.frames:
-                return None
-            release = next(self._releases, None)
-            if release is None:
-                return None
-            frame = self._slot
-            self._slot += 1
+        for frame, release in self._slots:
             if frame % stream.skip_interval != 0:
                 self.skipped += 1
                 continue
+            previous = self._previous_last
+            think = self._think if previous is not None else None
+            head_deps = () if previous is None else (previous,)
+            base = self.uid
             tasks = []
-            uids = []
             for position, task in enumerate(self.template):
-                if position == 0:
-                    deps = (
-                        ()
-                        if self._previous_last is None
-                        else (self._previous_last,)
-                    )
-                else:
-                    deps = (self.uid - 1,)
+                uid = base + position
                 # Direct construction instead of dataclasses.replace():
-                # replace() re-introspects fields per call, and this is
-                # the streaming driver's per-frame hot path.
+                # replace() re-introspects fields per call, and this runs
+                # once per task of every served frame.
                 tasks.append(
                     OpTask(
-                        uid=self.uid,
+                        uid=uid,
                         name=task.name,
                         seconds=task.seconds,
                         claims=task.claims,
                         mode=task.mode,
                         stream=stream.name,
                         frame=frame,
-                        deps=deps,
+                        deps=(uid - 1,) if position else head_deps,
                         release_s=release,
                         weight=stream.priority,
                         cross_switch_s=task.cross_switch_s,
                         deadline_s=stream.deadline_s,
                         frame_head=position == 0,
-                        think_s=None,
+                        think_s=None if position else think,
                         payload=task.payload,
                     )
                 )
-                uids.append(self.uid)
-                self.uid += 1
+            # Read back from the tasks so the run shares their uid objects
+            # (a fresh int per uid would cost 28 bytes each in big plans).
+            uids = tuple([task.uid for task in tasks])
+            self.uid = base + len(uids)
+            self._previous_last = uids[-1]
             run = FrameRun(
                 stream=stream.name,
                 frame=frame,
                 release_s=release,
                 deadline_s=stream.deadline_s,
-                uids=tuple(uids),
-                release_dep=None,
-                think_s=0.0,
+                uids=uids,
+                release_dep=None if think is None else previous,
+                think_s=0.0 if think is None else think,
             )
-            self._previous_last = uids[-1]
             return run, tasks
+        return None
 
 
 def frame_sources(
     spec: ScenarioSpec, templates: "dict[str, list[OpTask]]"
 ) -> "list[FrameSource]":
-    """Per-stream lazy frame sources with :func:`instantiate_frames` uids.
+    """One lazy :class:`FrameSource` per stream, in stream order.
 
-    The materialized expander allocates uids stream-major (every frame of
-    stream 0, then stream 1, ...); each source's base is the number of
-    tasks the streams before it will ever emit, computable without
-    generating a single arrival: ``ceil(slots / skip) * len(template)``,
-    where ``slots`` is ``spec.frames`` capped by a replay trace's length.
+    Uids are allocated stream-major (every frame of stream 0, then stream
+    1, ...), so draining the sources in order numbers the scenario's
+    tasks 0..n-1. Each source's base is the number of tasks the streams
+    before it will ever emit, computable without generating a single
+    arrival: ``ceil(slots / skip) * len(template)``, where ``slots`` is
+    ``spec.frames`` capped by a replay trace's length.
     """
     for stream in spec.streams:
         if stream.name not in templates:
@@ -496,12 +435,6 @@ def frame_sources(
         if not templates[stream.name]:
             raise SchedulingError(
                 f"stream {stream.name!r} lowered to an empty task list"
-            )
-        if stream.closed_loop:
-            raise ConfigError(
-                f"stream {stream.name!r}: closed_loop arrivals are paced"
-                " by completions and cannot stream; use"
-                " instantiate_frames"
             )
     sources = []
     uid = 0

@@ -30,9 +30,10 @@ records are replaced by P² sketch estimates for the percentile fields
 ``mean_latency_s`` may differ in final ulps because summation follows
 retirement order rather than frame order).
 
-Closed-loop streams are rejected: their releases depend on completions,
-which makes the whole trace one dependency chain with no static
-schedule to stream against.
+Closed-loop streams are rejected (:meth:`Session.run_serving
+<repro.api.session.Session.run_serving>` serves them): their releases
+depend on completions, which makes the whole trace one dependency chain
+with no static schedule to stream against.
 """
 
 from __future__ import annotations
@@ -55,17 +56,14 @@ from repro.serving.qos import make_qos
 class _FrameState:
     """One in-flight frame's resolution bookkeeping."""
 
-    __slots__ = (
-        "run", "unresolved", "max_end", "drop_uid", "drop_reason", "aborted"
-    )
+    __slots__ = ("run", "unresolved", "max_end", "drop")
 
     def __init__(self, run: FrameRun) -> None:
         self.run = run
         self.unresolved = len(run.uids)
         self.max_end: float | None = None
-        self.drop_uid: int | None = None
-        self.drop_reason: str | None = None
-        self.aborted = False
+        # The lowest-uid drop or abort record among the frame's tasks.
+        self.drop = None
 
 
 class _StreamState:
@@ -109,6 +107,13 @@ def serve_streaming(
     structured events without changing the report by a byte (the trace
     grows with trace length, so leave it off for million-frame runs).
     """
+    for stream in scenario.streams:
+        if stream.closed_loop:
+            raise ConfigError(
+                f"stream {stream.name!r}: closed_loop arrivals are paced by"
+                " completions and cannot be streamed; serve the scenario"
+                " without --streaming (Session.run_serving)"
+            )
     sources = frame_sources(scenario, templates)
     if max_events is None:
         total_frames = scenario.frames * max(1, len(scenario.streams))
@@ -141,45 +146,23 @@ def serve_streaming(
 
     def retire(state: _StreamState, frame_state: _FrameState) -> None:
         run = frame_state.run
+        drop = frame_state.drop
+        record = FrameRecord.from_run(
+            run, run.release_s, frame_state.max_end, drop
+        )
         state.offered += 1
-        if frame_state.drop_uid is not None:
+        if record.dropped:
             state.dropped += 1
-            if frame_state.aborted:
+            if getattr(drop, "action", None) == "abort":
                 state.preempted += 1
-            record = FrameRecord(
-                stream=run.stream,
-                frame=run.frame,
-                release_s=run.release_s,
-                deadline_s=run.deadline_s,
-                completion_s=None,
-                latency_s=None,
-                missed=False,
-                dropped=True,
-                drop_reason=frame_state.drop_reason,
-            )
         else:
-            completion = frame_state.max_end
-            latency = completion - run.release_s
-            missed = (
-                run.deadline_s is not None and latency > run.deadline_s
-            )
             state.completed += 1
-            if missed:
+            if record.missed:
                 state.missed += 1
             else:
                 state.met += 1
-            state.sketch.add(latency)
-            global_sketch.add(latency)
-            record = FrameRecord(
-                stream=run.stream,
-                frame=run.frame,
-                release_s=run.release_s,
-                deadline_s=run.deadline_s,
-                completion_s=completion,
-                latency_s=latency,
-                missed=missed,
-                dropped=False,
-            )
+            state.sketch.add(record.latency_s)
+            global_sketch.add(record.latency_s)
         if state.records is not None:
             state.records[run.frame] = record
         for uid in run.uids:
@@ -193,13 +176,9 @@ def serve_streaming(
             if frame_state.max_end is None or end_s > frame_state.max_end:
                 frame_state.max_end = end_s
         elif (
-            frame_state.drop_uid is None
-            or drop_record.uid < frame_state.drop_uid
+            frame_state.drop is None or drop_record.uid < frame_state.drop.uid
         ):
-            frame_state.drop_uid = drop_record.uid
-            frame_state.drop_reason = drop_record.reason
-            if getattr(drop_record, "action", None) == "abort":
-                frame_state.aborted = True
+            frame_state.drop = drop_record
         frame_state.unresolved -= 1
         # Pull the stream's next frame in at the same instant the
         # materialized run's dependency satisfaction would fire.

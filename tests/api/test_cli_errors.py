@@ -169,6 +169,33 @@ class TestServeErrors:
             "cannot read arrival trace",
         )
 
+    def test_streaming_a_closed_loop_stream_names_the_way_out(
+        self, capsys, tmp_path
+    ):
+        # The streaming driver cannot pace closed-loop releases; the
+        # error tells the user how to serve the spec instead of naming
+        # an internal function.
+        path = tmp_path / "closed.json"
+        path.write_text(json.dumps({
+            "name": "closed",
+            "platform": "sma:2",
+            "frames": 2,
+            "streams": [{
+                "name": "loop",
+                "model": "alexnet",
+                "arrivals": {"kind": "closed_loop", "think_s": 0.001},
+            }],
+        }))
+        captured = expect_error(
+            capsys,
+            ["serve", "--streaming", "--spec", str(path)],
+            "stream 'loop'",
+            "without --streaming",
+            "Session.run_serving",
+        )
+        assert "instantiate_frames" not in captured.err
+        assert captured.out == ""
+
     def test_multiple_platforms_without_explore(self, capsys):
         expect_error(
             capsys,

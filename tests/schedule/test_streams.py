@@ -173,11 +173,10 @@ class TestFrameLatencies:
         ]
         plan = instantiate_frames(scenario, {"a": work})
         timeline = TimelineScheduler().run(plan.tasks)
-        latencies = plan.frame_latencies(timeline)["a"]
-        misses = [miss for *_rest, miss in latencies]
-        assert misses == [False, False, True]
+        records = plan.frame_records(timeline)["a"]
+        assert [record.missed for record in records] == [False, False, True]
         # Frame 2 releases at 10 ms, starts at 12 ms, ends at 18 ms.
-        assert latencies[2][3] == pytest.approx(0.008)
+        assert records[2].latency_s == pytest.approx(0.008)
 
 
 class TestDeadlineEdgeCases:
@@ -204,13 +203,11 @@ class TestDeadlineEdgeCases:
     def test_zero_length_frames_complete_instantly_and_never_miss(self):
         scenario, plan = self._single_stream(0.0)
         timeline = TimelineScheduler().run(plan.tasks)
-        latencies = plan.frame_latencies(timeline)["a"]
-        assert [latency for *_rest, latency, _miss in latencies] == [
-            0.0, 0.0, 0.0,
-        ]
-        assert all(not miss for *_rest, miss in latencies)
+        records = plan.frame_records(timeline)["a"]
+        assert [record.latency_s for record in records] == [0.0, 0.0, 0.0]
+        assert not any(record.missed for record in records)
         # Completions land exactly on the releases.
-        assert [completion for _f, _r, completion, *_rest in latencies] == [
+        assert [record.completion_s for record in records] == [
             0.0, 0.005, 0.010,
         ]
 
@@ -221,17 +218,16 @@ class TestDeadlineEdgeCases:
         # genuinely exercised rather than dodged by FP noise.
         scenario, plan = self._single_stream(0.5, period=0.5, deadline=0.5)
         timeline = TimelineScheduler().run(plan.tasks)
-        latencies = plan.frame_latencies(timeline)["a"]
-        for *_rest, latency, miss in latencies:
-            assert latency == 0.5
-            assert not miss
+        for record in plan.frame_records(timeline)["a"]:
+            assert record.latency_s == 0.5
+            assert not record.missed
 
     def test_latency_barely_over_deadline_misses(self):
         scenario, plan = self._single_stream(0.0051, period=0.0051,
                                              deadline=0.005)
         timeline = TimelineScheduler().run(plan.tasks)
         assert all(
-            miss for *_rest, miss in plan.frame_latencies(timeline)["a"]
+            record.missed for record in plan.frame_records(timeline)["a"]
         )
 
     def test_skip_interval_interacts_with_admission_drops(self):
@@ -254,8 +250,9 @@ class TestDeadlineEdgeCases:
         completed = [record for record in records if not record.dropped]
         assert dropped and completed
         assert len(dropped) + len(completed) == 4
-        # frame_latencies only reports completed frames.
-        assert len(plan.frame_latencies(timeline)["a"]) == len(completed)
+        # Only completed frames carry a completion and a latency.
+        assert all(record.latency_s is None for record in dropped)
+        assert all(record.latency_s is not None for record in completed)
 
     def test_empty_scenario_is_rejected(self):
         with pytest.raises(ConfigError):
@@ -285,4 +282,4 @@ class TestDeadlineEdgeCases:
         assert plan.runs == ()
         timeline = TimelineScheduler().run(plan.tasks)
         assert timeline.makespan_s == 0.0
-        assert plan.frame_latencies(timeline) == {}
+        assert plan.frame_records(timeline) == {}

@@ -13,6 +13,7 @@ frames into P² sketches. Its contract has two halves:
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -62,16 +63,32 @@ def _random_scenario(trial: int) -> ScenarioSpec:
                 arrivals=arr,
             )
         )
+    platform = rng.choice(["gpu-tc", "sma", "sma@a100"])
+    frames = rng.randint(1, 12)
+    policy = rng.choice(["fifo", "priority", "exclusive", "exclusive_preempt"])
+    overhead = rng.choice([0.0, 50e-6])
+    qos = rng.choice(QOS)
+    # Drawn after everything else so it shifts no other draw. A replay
+    # shorter than the scenario emits fewer frames, which moves the uid
+    # base of every stream after it.
+    if rng.random() < 0.5:
+        index = rng.randrange(len(streams))
+        times = sorted(
+            rng.uniform(0.0, 0.1) for _ in range(rng.randrange(frames))
+        )
+        streams[index] = replace(
+            streams[index],
+            period_s=None,
+            arrivals=ArrivalSpec(kind="replay", times_s=tuple(times)),
+        )
     return ScenarioSpec(
         name=f"stream-{trial}",
         streams=tuple(streams),
-        platform=rng.choice(["gpu-tc", "sma", "sma@a100"]),
-        frames=rng.randint(1, 12),
-        policy=rng.choice(
-            ["fifo", "priority", "exclusive", "exclusive_preempt"]
-        ),
-        framework_overhead_s=rng.choice([0.0, 50e-6]),
-        qos=rng.choice(QOS),
+        platform=platform,
+        frames=frames,
+        policy=policy,
+        framework_overhead_s=overhead,
+        qos=qos,
     )
 
 
