@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.common.stats import CounterBag
 from repro.config import GpuConfig
@@ -31,7 +32,7 @@ from repro.gpu.regfile import RegisterFileModel
 from repro.gpu.scheduler import SchedulerPolicy, make_scheduler
 from repro.gpu.scoreboard import Scoreboard
 from repro.gpu.shared_memory import SharedMemoryModel
-from repro.isa.instructions import ExecUnit, Instruction, Opcode
+from repro.isa.instructions import Instruction, Opcode
 from repro.isa.program import WarpProgram
 
 #: MACs performed by one HMMA instruction (4 cycles on one 4x4x4 TC).
@@ -154,6 +155,27 @@ class SmResult:
         return self.flops() / (self.cycles * peak_flops_per_cycle)
 
 
+class _IssueRecord(NamedTuple):
+    """What issuing one instruction books and counts, built once per run."""
+
+    unit: str | None             # structural unit booked; None when none is
+    unit_cost: float             # cycles of that unit's service
+    latency: float               # cycles until the destinations are readable
+    reads: int                   # register-file operand reads
+    writes: int                  # register-file operand writes
+    events: tuple[tuple[str, float], ...]  # counter deltas, in add order
+
+
+#: Every issued instruction counts once.
+_ISSUED = ("instructions_issued", 1.0)
+#: Lane operations counted per issued SIMD arithmetic instruction.
+_SIMD_EVENTS = {
+    Opcode.FFMA: ("fp32_macs", 32),
+    Opcode.HFMA2: ("fp16_macs", 64),
+    Opcode.FADD: ("fp32_ops", 32),
+}
+
+
 @dataclass
 class _WarpState:
     pc: int = 0
@@ -197,68 +219,55 @@ class StreamingMultiprocessor:
             "tensor": ThroughputResource("tensor"),
         }
 
-    # -- issue cost model --------------------------------------------------------
-    def _issue_costs(
-        self, inst: Instruction
-    ) -> tuple[str | None, float, float, int, int]:
-        """Return (unit_name, unit_cost, latency, rf_reads, rf_writes)."""
+    # -- issue records -----------------------------------------------------------
+    def _issue_record(self, inst: Instruction) -> _IssueRecord:
+        """What issuing ``inst`` books and counts; the same on every attempt."""
         opcode = inst.opcode
+        unit, unit_cost, latency = None, 0.0, inst.latency
+        reads, writes = len(inst.srcs), len(inst.dst)
+        event: tuple[str, float] | None = None
         if opcode in (Opcode.FFMA, Opcode.HFMA2, Opcode.FADD):
-            return "fma", 0.5, inst.latency, len(inst.srcs), len(inst.dst)
-        if opcode in (Opcode.IMAD, Opcode.MOV, Opcode.NOP):
-            return "alu", 0.5, inst.latency, len(inst.srcs), len(inst.dst)
-        if opcode is Opcode.HMMA:
+            unit, unit_cost = "fma", 0.5
+            event = _SIMD_EVENTS[opcode]
+        elif opcode in (Opcode.IMAD, Opcode.MOV, Opcode.NOP):
+            unit, unit_cost = "alu", 0.5
+        elif opcode is Opcode.HMMA:
             # Architectural operand appetite (repro.tensorcore): 2 A regs,
             # 2 B regs, 4 accumulators read; 4 accumulators written.
-            return "tensor", 1.0, inst.latency, 8, 4
-        if opcode in (Opcode.LDS, Opcode.STS):
-            degree = self.shared_memory.access(inst.mem).cycles
-            latency = self.config.shared_memory_latency_cycles + degree - 1
-            if opcode is Opcode.STS:
-                latency = degree
-            return "lsu", float(degree), latency, len(inst.srcs), len(inst.dst)
-        if opcode in (Opcode.LDG, Opcode.STG):
-            sectors = coalesce(inst.mem).sectors
-            cost = max(0.25, sectors / 4.0)
-            latency = self.config.dram_latency_cycles
-            if opcode is Opcode.STG:
+            unit, unit_cost, reads, writes = "tensor", 1.0, 8, 4
+            event = ("fp16_macs", HMMA_MACS)
+        elif opcode in (Opcode.LDS, Opcode.STS):
+            access = self.shared_memory.access(inst.mem)
+            unit, unit_cost = "lsu", float(access.cycles)
+            if opcode is Opcode.LDS:
+                latency = (
+                    self.config.shared_memory_latency_cycles + access.cycles - 1
+                )
+                event = ("smem_read_words", access.words_touched)
+            else:
+                latency = access.cycles
+                event = ("smem_write_words", access.words_touched)
+        elif opcode in (Opcode.LDG, Opcode.STG):
+            transactions = coalesce(inst.mem)
+            unit, unit_cost = "lsu", max(0.25, transactions.sectors / 4.0)
+            if opcode is Opcode.LDG:
+                latency = self.config.dram_latency_cycles
+                event = ("global_read_bytes", transactions.bytes_moved)
+            else:
                 latency = 1
-            return "lsu", cost, latency, len(inst.srcs), len(inst.dst)
-        if opcode is Opcode.LDC:
-            return "lsu", 0.25, inst.latency, len(inst.srcs), len(inst.dst)
-        if opcode is Opcode.LSMA:
-            # Unit cost handled by the systolic controller.
-            return None, 0.0, inst.latency, len(inst.srcs), len(inst.dst)
-        if inst.is_barrier or opcode is Opcode.EXIT:
-            return None, 0.0, 1, 0, 0
-        raise SimulationError(f"no issue model for opcode {opcode}")
-
-    # -- event counting ----------------------------------------------------------
-    def _count_events(self, inst: Instruction, counters: CounterBag) -> None:
-        opcode = inst.opcode
-        counters.add("instructions_issued")
-        if opcode is Opcode.FFMA:
-            counters.add("fp32_macs", 32)
-        elif opcode is Opcode.HFMA2:
-            counters.add("fp16_macs", 64)
-        elif opcode is Opcode.FADD:
-            counters.add("fp32_ops", 32)
-        elif opcode is Opcode.HMMA:
-            counters.add("fp16_macs", HMMA_MACS)
-        elif opcode is Opcode.LDS:
-            result = self.shared_memory.access(inst.mem)
-            counters.add("smem_read_words", result.words_touched)
-        elif opcode is Opcode.STS:
-            result = self.shared_memory.access(inst.mem)
-            counters.add("smem_write_words", result.words_touched)
-        elif opcode is Opcode.LDG:
-            counters.add("global_read_bytes", coalesce(inst.mem).bytes_moved)
-        elif opcode is Opcode.STG:
-            counters.add("global_write_bytes", coalesce(inst.mem).bytes_moved)
+                event = ("global_write_bytes", transactions.bytes_moved)
         elif opcode is Opcode.LDC:
-            counters.add("const_read_words", inst.mem.active_lanes)
-        elif opcode in (Opcode.BAR, Opcode.CGSYNC, Opcode.SMAWAIT):
-            counters.add("sync_ops")
+            unit, unit_cost = "lsu", 0.25
+            event = ("const_read_words", inst.mem.active_lanes)
+        elif inst.is_barrier or opcode is Opcode.EXIT:
+            latency, reads, writes = 1, 0, 0
+            if inst.is_barrier:
+                event = ("sync_ops", 1.0)
+        elif opcode is not Opcode.LSMA:
+            # LSMA has no unit here: the systolic controller books its cost.
+            raise SimulationError(f"no issue model for opcode {opcode}")
+        events = (_ISSUED,) if event is None else (_ISSUED, event)
+        return _IssueRecord(unit, unit_cost, latency, reads, writes, events)
 
     # -- main loop -----------------------------------------------------------------
     def run(self, kernel: KernelSpec) -> SmResult:
@@ -283,6 +292,11 @@ class StreamingMultiprocessor:
         counters = CounterBag()
         stalls = CounterBag()
         warps = [_WarpState() for _ in range(num_warps)]
+        traces = [program.instructions for program in kernel.programs]
+        # Issue records by instruction object: built on the first issue
+        # attempt, reused by every later attempt and every warp that shares
+        # the object (ProgramBuilder interns equal instructions).
+        records: dict[int, _IssueRecord] = {}
         num_schedulers = self.config.schedulers_per_sm
         policies: list[SchedulerPolicy] = [
             make_scheduler(kernel.scheduler) for _ in range(num_schedulers)
@@ -290,6 +304,7 @@ class StreamingMultiprocessor:
         barrier_arrivals: dict[tuple[int, int], set[int]] = {}
         group_sizes = {gid: len(members) for gid, members in kernel.groups.items()}
         group_sizes[self.TB_GROUP] = num_warps
+        waiting_count = 0
 
         now = 0.0
         done_count = 0
@@ -307,9 +322,25 @@ class StreamingMultiprocessor:
                     for warp_id in arrived:
                         warps[warp_id].waiting_barrier = None
                         warps[warp_id].blocked_until = now
+                    waiting_count -= len(arrived)
                     released.append(key)
             for key in released:
                 del barrier_arrivals[key]
+            # Only an issue can complete a barrier: once every unfinished
+            # warp waits at one, none ever will. (The count also holds warps
+            # whose last instruction was a barrier, hence the scan.)
+            if waiting_count >= num_warps - done_count and all(
+                state.done or state.waiting_barrier is not None for state in warps
+            ):
+                raise SimulationError(
+                    f"barrier deadlock in kernel {kernel.name!r} at cycle"
+                    f" {now:g}: every unfinished warp waits at a barrier that"
+                    " can no longer complete; stuck (group, instance): "
+                    + ", ".join(
+                        f"{key} with warps {sorted(arrived)}"
+                        for key, arrived in sorted(barrier_arrivals.items())
+                    )
+                )
 
             for scheduler_id, policy in enumerate(policies):
                 candidates = [
@@ -325,14 +356,16 @@ class StreamingMultiprocessor:
                 blocked_reason = "stall_scoreboard"
                 for warp_id in policy.order(candidates):
                     state = warps[warp_id]
-                    inst = kernel.programs[warp_id][state.pc]
+                    inst = traces[warp_id][state.pc]
                     if not scoreboard.ready(warp_id, inst.srcs, now):
                         blocked_reason = "stall_scoreboard"
                         continue
-                    unit_name, unit_cost, latency, reads, writes = (
-                        self._issue_costs(inst)
-                    )
-                    if inst.opcode is Opcode.LSMA:
+                    record = records.get(id(inst))
+                    if record is None:
+                        record = records[id(inst)] = self._issue_record(inst)
+                    unit_name, unit_cost, latency, reads, writes, events = record
+                    opcode = inst.opcode
+                    if opcode is Opcode.LSMA:
                         if kernel.lsma_engine is None:
                             raise SimulationError(
                                 "trace contains LSMA but no engine is attached"
@@ -363,7 +396,7 @@ class StreamingMultiprocessor:
                             blocked_reason = "stall_rf_write"
                             continue
                         if unit_name is not None:
-                            resources[unit_name].accept(now, unit_cost)
+                            resource.accept(now, unit_cost)
                         if reads:
                             rf_read.accept(now, reads * read_cost)
                             regfile.total_reads += reads
@@ -372,22 +405,22 @@ class StreamingMultiprocessor:
                             regfile.total_writes += writes
 
                     # The instruction issues.
-                    self._count_events(inst, counters)
+                    for name, amount in events:
+                        counters.add(name, amount)
                     if inst.dst:
                         scoreboard.set_pending(warp_id, inst.dst, now + latency)
-                    if inst.opcode is Opcode.BAR or inst.opcode is Opcode.CGSYNC:
+                    if opcode is Opcode.BAR or opcode is Opcode.CGSYNC:
                         group_id = (
-                            self.TB_GROUP
-                            if inst.opcode is Opcode.BAR
-                            else inst.group
+                            self.TB_GROUP if opcode is Opcode.BAR else inst.group
                         )
                         instance = state.barrier_counts.get(group_id, 0)
                         state.barrier_counts[group_id] = instance + 1
                         state.waiting_barrier = (group_id, instance)
+                        waiting_count += 1
                         barrier_arrivals.setdefault(
                             (group_id, instance), set()
                         ).add(warp_id)
-                    elif inst.opcode is Opcode.SMAWAIT:
+                    elif opcode is Opcode.SMAWAIT:
                         if kernel.lsma_engine is None:
                             raise SimulationError(
                                 "trace contains SMAWAIT but no engine is attached"
@@ -396,9 +429,7 @@ class StreamingMultiprocessor:
                             now + 1.0, kernel.lsma_engine.idle_at(now)
                         )
                     state.pc += 1
-                    if inst.opcode is Opcode.EXIT or state.pc >= len(
-                        kernel.programs[warp_id]
-                    ):
+                    if opcode is Opcode.EXIT or state.pc >= len(traces[warp_id]):
                         state.done = True
                         done_count += 1
                     policy.notify_issued(warp_id)

@@ -1,10 +1,21 @@
 """SM pipeline tests with hand-built micro-traces."""
 
+import dataclasses
+import re
+
 import pytest
 
 from repro.common.stats import CounterBag
 from repro.config import GpuConfig
 from repro.errors import SimulationError
+from repro.gemm.problem import GemmProblem
+from repro.gemm.tiling import plan_gemm
+from repro.gemm.traces import (
+    SIMD_K_SLICE,
+    TC_K_SLICE,
+    build_simd_gemm_kernel,
+    build_tc_gemm_kernel,
+)
 from repro.gpu.sm import (
     KernelSpec,
     LsmaEngine,
@@ -13,7 +24,7 @@ from repro.gpu.sm import (
     ThroughputResource,
 )
 from repro.isa.instructions import MemSpace, coalesced_access, strided_access
-from repro.isa.program import ProgramBuilder
+from repro.isa.program import ProgramBuilder, WarpProgram
 
 
 @pytest.fixture(scope="module")
@@ -180,3 +191,133 @@ class TestLsmaIntegration:
         builder.exit()
         with pytest.raises(SimulationError):
             sm.run(_single_warp(builder.build()))
+
+
+class TestBarrierDeadlock:
+    def test_exit_past_a_barrier_fails_within_cycles(self, sm):
+        # Warp 1 exits without arriving, so warp 0's barrier never fills.
+        w0 = ProgramBuilder("w0").bar().exit()
+        w1 = ProgramBuilder("w1").exit()
+        spec = KernelSpec(name="stuck", programs=[w0.build(), w1.build()])
+        assert sm.max_cycles == 40_000_000
+        with pytest.raises(SimulationError, match="barrier deadlock") as info:
+            sm.run(spec)
+        message = str(info.value)
+        assert "'stuck'" in message
+        assert "(-1, 0) with warps [0]" in message
+        cycle = float(re.search(r"at cycle (\S+):", message).group(1))
+        assert cycle < 10
+
+    def test_cooperative_group_deadlock_names_its_group(self, sm):
+        w0 = ProgramBuilder("w0").cgsync(5).exit()
+        w1 = ProgramBuilder("w1").cgsync(5).cgsync(5).exit()
+        w2 = ProgramBuilder("w2").exit()
+        spec = KernelSpec(
+            name="cg",
+            programs=[w0.build(), w1.build(), w2.build()],
+            groups={5: frozenset({0, 1})},
+        )
+        with pytest.raises(SimulationError, match=r"\(5, 1\) with warps \[1\]"):
+            sm.run(spec)
+
+    def test_a_trace_ending_at_a_barrier_is_not_stuck(self, sm):
+        # Warp 0 finishes by arriving; warp 1 arrives later and releases it.
+        w0 = ProgramBuilder("w0").bar()
+        w1 = ProgramBuilder("w1")
+        for _ in range(5):
+            w1.ffma(1, 1, 1, 1)
+        w1.bar().exit()
+        spec = KernelSpec(name="tail", programs=[w0.build(), w1.build()])
+        assert sm.run(spec).counters.get("sync_ops") == 2
+
+    def test_a_warp_draining_the_array_is_not_stuck(self, sm):
+        # Warp 0 waits at the barrier while warp 1 sleeps on SMAWAIT, then
+        # arrives: no deadlock.
+        w0 = ProgramBuilder("w0").bar().exit()
+        w1 = ProgramBuilder("w1")
+        w1.mov(1, 0)
+        w1.lsma(1, 1, 1, 1, k_extent=8, unit_id=0)
+        w1.smawait()
+        w1.bar()
+        w1.exit()
+        spec = KernelSpec(
+            name="drain", programs=[w0.build(), w1.build()],
+            lsma_engine=_StubEngine(),
+        )
+        assert sm.run(spec).counters.get("sync_ops") == 3
+
+
+def _fresh_copies(kernel):
+    """The same kernel with every instruction a new object equal to the old."""
+
+    def copy(inst):
+        mem = None if inst.mem is None else dataclasses.replace(inst.mem)
+        return dataclasses.replace(inst, mem=mem)
+
+    kernel.programs = [
+        WarpProgram(program.name, [copy(inst) for inst in program])
+        for program in kernel.programs
+    ]
+    return kernel
+
+
+def _lsma_kernel():
+    programs = []
+    for warp_id in range(6):
+        builder = ProgramBuilder(f"w{warp_id}")
+        builder.mov(1, 0)
+        for step in range(4):
+            builder.ldg(
+                2, coalesced_access(MemSpace.GLOBAL, 4096 * (step % 2)), 1
+            )
+            builder.sts(coalesced_access(MemSpace.SHARED, 512 * warp_id), 2, 1)
+            builder.lsma(1, 1, 2, 1, k_extent=16, unit_id=warp_id % 2)
+            builder.ffma(3, 2, 2, 3)
+            builder.cgsync(0)
+        builder.smawait()
+        builder.exit()
+        programs.append(builder.build())
+    return KernelSpec(
+        name="lsma", programs=programs, groups={0: frozenset(range(6))},
+        scheduler="sma_rr", lsma_engine=_StubEngine(),
+    )
+
+
+_INTERNING_KERNELS = {
+    "simd": lambda: build_simd_gemm_kernel(
+        plan_gemm(GemmProblem(128, 128, 64), k_slice=SIMD_K_SLICE), 2
+    ),
+    "tc": lambda: build_tc_gemm_kernel(
+        plan_gemm(GemmProblem(128, 128, 64), k_slice=TC_K_SLICE), 2
+    ),
+    "lsma": _lsma_kernel,
+}
+
+
+def _objects(kernel):
+    return {id(inst) for program in kernel.programs for inst in program}
+
+
+class TestInterning:
+    @pytest.mark.parametrize("name", list(_INTERNING_KERNELS))
+    def test_fresh_equal_copies_simulate_identically(self, sm, name):
+        interned = _INTERNING_KERNELS[name]()
+        copied = _fresh_copies(_INTERNING_KERNELS[name]())
+        total = sum(len(program) for program in interned.programs)
+        assert len(_objects(interned)) < total
+        assert len(_objects(copied)) == total
+        first, second = sm.run(interned), sm.run(copied)
+        assert first.cycles == second.cycles
+        assert list(first.counters.items()) == list(second.counters.items())
+        assert list(first.stalls.items()) == list(second.stalls.items())
+        assert first.stalls.get("stall_scoreboard") > 0
+
+    def test_builder_shares_equal_instructions(self):
+        builder = ProgramBuilder("w")
+        for _ in range(3):
+            builder.ffma(2, 1, 1, 2)
+            builder.lds(3, coalesced_access(MemSpace.SHARED, 0), 1)
+        program = builder.build()
+        assert program[0] is program[2] is program[4]
+        assert program[1] is program[3] is program[5]
+        assert program[0] is not program[1]
