@@ -160,7 +160,7 @@ class _IssueRecord(NamedTuple):
 
     unit: str | None             # structural unit booked; None when none is
     unit_cost: float             # cycles of that unit's service
-    latency: float               # cycles until the destinations are readable
+    latency: int                 # cycles until the destinations are readable
     reads: int                   # register-file operand reads
     writes: int                  # register-file operand writes
     events: tuple[tuple[str, float], ...]  # counter deltas, in add order

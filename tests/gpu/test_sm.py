@@ -311,13 +311,3 @@ class TestInterning:
         assert list(first.counters.items()) == list(second.counters.items())
         assert list(first.stalls.items()) == list(second.stalls.items())
         assert first.stalls.get("stall_scoreboard") > 0
-
-    def test_builder_shares_equal_instructions(self):
-        builder = ProgramBuilder("w")
-        for _ in range(3):
-            builder.ffma(2, 1, 1, 2)
-            builder.lds(3, coalesced_access(MemSpace.SHARED, 0), 1)
-        program = builder.build()
-        assert program[0] is program[2] is program[4]
-        assert program[1] is program[3] is program[5]
-        assert program[0] is not program[1]
