@@ -3,9 +3,7 @@
 A warp's 32 lane addresses are merged into 32-byte sectors (Volta's L1
 granularity). Fully coalesced unit-stride FP32 accesses produce 4 sectors;
 scattered accesses produce up to 32. The sector count drives both L1/L2
-occupancy and DRAM traffic. Unit-stride and other gap-free progressions,
-nearly every global access the GEMM traces make, are counted in closed
-form; every other pattern merges lane by lane.
+occupancy and DRAM traffic.
 """
 
 from __future__ import annotations
@@ -43,24 +41,11 @@ def coalesce(access: MemAccess) -> CoalesceResult:
     """Merge a warp access into sectors and cache lines."""
     if access.space is MemSpace.SHARED:
         raise ValueError("shared-memory accesses are not coalesced")
-    addresses = access.lane_addresses
-    width = access.width_bytes
-    low, high = addresses[0], addresses[-1]
-    stride = addresses[1] - low if len(addresses) > 1 else width
-    if 0 < stride <= width and addresses == tuple(range(low, high + 1, stride)):
-        # Lanes in arithmetic progression no wider apart than one lane's
-        # width cover [low, high + width) without a gap, and every line in
-        # between holds a lane's first byte.
-        return CoalesceResult(
-            sectors=(high + width - 1) // SECTOR_BYTES - low // SECTOR_BYTES + 1,
-            lines=high // LINE_BYTES - low // LINE_BYTES + 1,
-            bytes_requested=access.bytes_moved,
-        )
     sectors = set()
     lines = set()
-    for address in addresses:
+    for address in access.lane_addresses:
         first = address // SECTOR_BYTES
-        last = (address + width - 1) // SECTOR_BYTES
+        last = (address + access.width_bytes - 1) // SECTOR_BYTES
         for sector in range(first, last + 1):
             sectors.add(sector)
         lines.add(address // LINE_BYTES)

@@ -294,8 +294,7 @@ class StreamingMultiprocessor:
         warps = [_WarpState() for _ in range(num_warps)]
         traces = [program.instructions for program in kernel.programs]
         # Issue records by instruction object: built on the first issue
-        # attempt, reused by every later attempt and every warp that shares
-        # the object (ProgramBuilder interns equal instructions).
+        # attempt, reused by every later attempt at that object.
         records: dict[int, _IssueRecord] = {}
         num_schedulers = self.config.schedulers_per_sm
         policies: list[SchedulerPolicy] = [

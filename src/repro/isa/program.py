@@ -42,14 +42,12 @@ class ProgramBuilder:
 
     Register ids are plain ints chosen by the caller; ``fresh()`` hands out
     ids above 1000 for temporaries so they never collide with the caller's
-    numbering scheme. Equal instructions are interned: the trace holds one
-    object per distinct instruction, however often it repeats.
+    numbering scheme.
     """
 
     def __init__(self, name: str) -> None:
         self._program = WarpProgram(name)
         self._next_temp = 1000
-        self._interned: dict[Instruction, Instruction] = {}
 
     def fresh(self) -> int:
         """Allocate a temporary register id."""
@@ -57,7 +55,6 @@ class ProgramBuilder:
         return self._next_temp
 
     def emit(self, instruction: Instruction) -> "ProgramBuilder":
-        instruction = self._interned.setdefault(instruction, instruction)
         self._program.instructions.append(instruction)
         return self
 

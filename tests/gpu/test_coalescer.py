@@ -1,16 +1,9 @@
 """Global-memory coalescing tests."""
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from repro.gpu.coalescer import coalesce
-from repro.isa.instructions import (
-    MemAccess,
-    MemSpace,
-    coalesced_access,
-    strided_access,
-)
+from repro.isa.instructions import MemSpace, coalesced_access, strided_access
 
 
 class TestCoalescer:
@@ -42,56 +35,3 @@ class TestCoalescer:
     def test_bytes_moved_sector_granularity(self):
         result = coalesce(coalesced_access(MemSpace.GLOBAL, 0))
         assert result.bytes_moved == 4 * 32
-
-
-def _reference(addresses, width):
-    """Set-based coalescing: every sector each lane touches, every line it starts in."""
-    sectors = {
-        sector
-        for address in addresses
-        for sector in range(address // 32, (address + width - 1) // 32 + 1)
-    }
-    return len(sectors), len({address // 128 for address in addresses})
-
-
-@st.composite
-def _lane_addresses(draw):
-    """Progressions of every stride class, some with one lane moved."""
-    width = draw(st.sampled_from((1, 2, 4, 8, 16)))
-    lanes = draw(st.integers(min_value=1, max_value=32))
-    stride = draw(
-        st.one_of(
-            st.just(0),
-            st.integers(min_value=-256, max_value=-1),
-            st.integers(min_value=1, max_value=width),
-            st.just(width),
-            # Gaps between lanes near one 32 B sector, where the set merge
-            # starts to skip sectors.
-            st.integers(min_value=1, max_value=64).map(lambda gap: width + gap),
-            st.integers(min_value=width + 1, max_value=128),
-            st.integers(min_value=129, max_value=4096),
-        )
-    )
-    sector = draw(st.integers(min_value=0, max_value=1 << 15))
-    base = sector * 32 + draw(st.integers(min_value=0, max_value=31))
-    addresses = [base + lane * stride for lane in range(lanes)]
-    if draw(st.booleans()):
-        lane = draw(st.integers(min_value=0, max_value=lanes - 1))
-        addresses[lane] += draw(st.integers(min_value=-64, max_value=64))
-    return tuple(addresses), width
-
-
-class TestClosedFormAgreesWithSetMerge:
-    @given(_lane_addresses())
-    @settings(max_examples=500, deadline=None)
-    @example(((0,), 16))
-    @example(((0, 4, 8, 12), 4))
-    @example(((0, 4, 8, 13), 4))
-    @example(((31, 32, 33), 1))
-    @example((tuple(range(120, 120 + 32 * 16, 16)), 16))
-    @example((tuple(range(1000, 1000 - 32 * 4, -4)), 4))
-    def test_matches_reference(self, case):
-        addresses, width = case
-        result = coalesce(MemAccess(MemSpace.GLOBAL, addresses, width))
-        assert (result.sectors, result.lines) == _reference(addresses, width)
-        assert result.bytes_requested == len(addresses) * width

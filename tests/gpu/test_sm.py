@@ -247,6 +247,14 @@ class TestBarrierDeadlock:
         assert sm.run(spec).counters.get("sync_ops") == 3
 
 
+def _with_instructions(kernel, make):
+    kernel.programs = [
+        WarpProgram(program.name, [make(inst) for inst in program])
+        for program in kernel.programs
+    ]
+    return kernel
+
+
 def _fresh_copies(kernel):
     """The same kernel with every instruction a new object equal to the old."""
 
@@ -254,11 +262,13 @@ def _fresh_copies(kernel):
         mem = None if inst.mem is None else dataclasses.replace(inst.mem)
         return dataclasses.replace(inst, mem=mem)
 
-    kernel.programs = [
-        WarpProgram(program.name, [copy(inst) for inst in program])
-        for program in kernel.programs
-    ]
-    return kernel
+    return _with_instructions(kernel, copy)
+
+
+def _shared(kernel):
+    """The same kernel with one object per distinct instruction, warps included."""
+    pool = {}
+    return _with_instructions(kernel, lambda inst: pool.setdefault(inst, inst))
 
 
 def _lsma_kernel():
@@ -283,7 +293,7 @@ def _lsma_kernel():
     )
 
 
-_INTERNING_KERNELS = {
+_SHARING_KERNELS = {
     "simd": lambda: build_simd_gemm_kernel(
         plan_gemm(GemmProblem(128, 128, 64), k_slice=SIMD_K_SLICE), 2
     ),
@@ -298,15 +308,17 @@ def _objects(kernel):
     return {id(inst) for program in kernel.programs for inst in program}
 
 
-class TestInterning:
-    @pytest.mark.parametrize("name", list(_INTERNING_KERNELS))
-    def test_fresh_equal_copies_simulate_identically(self, sm, name):
-        interned = _INTERNING_KERNELS[name]()
-        copied = _fresh_copies(_INTERNING_KERNELS[name]())
-        total = sum(len(program) for program in interned.programs)
-        assert len(_objects(interned)) < total
+class TestSharedInstructions:
+    # Issue records are keyed by instruction object, so a kernel must
+    # simulate the same whether equal instructions share one object or not.
+    @pytest.mark.parametrize("name", list(_SHARING_KERNELS))
+    def test_shared_and_fresh_equal_copies_simulate_identically(self, sm, name):
+        shared = _shared(_SHARING_KERNELS[name]())
+        copied = _fresh_copies(_SHARING_KERNELS[name]())
+        total = sum(len(program) for program in shared.programs)
+        assert len(_objects(shared)) < total
         assert len(_objects(copied)) == total
-        first, second = sm.run(interned), sm.run(copied)
+        first, second = sm.run(shared), sm.run(copied)
         assert first.cycles == second.cycles
         assert list(first.counters.items()) == list(second.counters.items())
         assert list(first.stalls.items()) == list(second.stalls.items())

@@ -57,13 +57,3 @@ class TestProgramBuilder:
     def test_cgsync_group(self):
         program = ProgramBuilder("demo").cgsync(3).build()
         assert program[0].group == 3
-
-    def test_equal_instructions_are_one_object(self):
-        builder = ProgramBuilder("w")
-        for _ in range(3):
-            builder.ffma(2, 1, 1, 2)
-            builder.lds(3, coalesced_access(MemSpace.SHARED, 0), 1)
-        program = builder.build()
-        assert program[0] is program[2] is program[4]
-        assert program[1] is program[3] is program[5]
-        assert program[0] is not program[1]
