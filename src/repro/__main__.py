@@ -761,23 +761,24 @@ def _print_sweep_result(grid, result, workers_label, store, as_json) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    from repro.sweep import ResultStore, run_sweep
+def _cmd_sweep(args, servers=()) -> int:
+    """`sweep` over local workers, or `cluster sweep` over ``servers``."""
+    from repro.sweep import ResultStore
 
     grid = _build_sweep_grid(args)
-    session = Session()
+    session = Session(cluster=servers)
     store = ResultStore(args.store) if args.store else None
     try:
-        result = run_sweep(
+        result = session.run_sweep(
             grid,
-            jobs=args.jobs,
+            jobs=1 if servers else args.jobs,
             store=store,
             resume=args.resume,
-            session=session,
         )
-        return _print_sweep_result(
-            grid, result, f"{args.jobs} worker(s)", store, args.json
+        label = (
+            f"{len(servers)} server(s)" if servers else f"{args.jobs} worker(s)"
         )
+        return _print_sweep_result(grid, result, label, store, args.json)
     finally:
         if store is not None:
             store.close()
@@ -865,33 +866,6 @@ def _cmd_cluster_metrics(args) -> int:
     return 0
 
 
-def _cmd_cluster_sweep(args) -> int:
-    from repro.cluster import run_sweep_remote
-    from repro.sweep import ResultStore
-
-    grid = _build_sweep_grid(args)
-    session = Session()
-    store = ResultStore(args.store) if args.store else None
-    try:
-        result = run_sweep_remote(
-            grid,
-            args.servers,
-            store=store,
-            resume=args.resume,
-            session=session,
-        )
-        return _print_sweep_result(
-            grid,
-            result,
-            f"{len(args.servers)} server(s)",
-            store,
-            args.json,
-        )
-    finally:
-        if store is not None:
-            store.close()
-
-
 def _cmd_cluster_serving(args) -> int:
     from repro.cluster import run_serving_split
 
@@ -944,7 +918,7 @@ def _cmd_cluster(args) -> int:
     if args.cluster_command == "metrics":
         return _cmd_cluster_metrics(args)
     if args.cluster_command == "sweep":
-        return _cmd_cluster_sweep(args)
+        return _cmd_sweep(args, servers=args.servers)
     if args.cluster_command == "serving":
         return _cmd_cluster_serving(args)
     if args.cluster_command in ("drain", "shutdown"):

@@ -4,10 +4,9 @@ Two front-ends over :class:`~repro.cluster.client.ClusterClient`:
 
 * :func:`run_sweep_remote` — shard a sweep grid across one or more
   servers proportionally to each server's reported worker-pool size
-  (its ``status`` jobs count), re-dispatching a dead server's shard to
-  the survivors,
-  merging every returned cache delta into the caller's session cache and
-  writing through the caller's :class:`~repro.sweep.store.ResultStore`.
+  (its ``status`` jobs count), on the local sweep's resume and
+  write-through skeleton (:func:`repro.sweep.workers.sweep_grid`),
+  merging every returned cache delta into the caller's session cache.
   The returned :class:`~repro.sweep.workers.SweepResult` is bit-identical
   to a local :func:`repro.sweep.run_sweep` of the same grid — stable IDs,
   canonical JSON reports, and a deterministic simulator make the
@@ -20,6 +19,8 @@ Two front-ends over :class:`~repro.cluster.client.ClusterClient`:
   :class:`~repro.api.results.ServingReport`\\ s into one report whose
   aggregate percentiles are recomputed over every completed frame.
 
+Both, and remote fuzz campaigns (:mod:`repro.fuzz.campaign`), submit
+through :func:`_submit_shards`, the one dead-server re-dispatch loop.
 Both paths go through the content-addressed grid machinery, so remote
 execution reuses the same request identities as local runs — a store
 written remotely resumes a local sweep and vice versa.
@@ -43,7 +44,7 @@ from repro.schedule.streams import ScenarioSpec
 from repro.serving.slo import apply_trace, trace_scenario
 from repro.sweep.grid import SweepGrid, SweepSpec, expand, grid_from_requests
 from repro.sweep.store import ResultStore
-from repro.sweep.workers import SweepResult, load_resumable
+from repro.sweep.workers import SweepResult, sweep_grid
 
 #: Failures that mean "this server cannot take the shard" (re-dispatch),
 #: as opposed to typed config errors that must surface to the caller.
@@ -70,9 +71,9 @@ def server_capacities(
 ) -> dict[str, int]:
     """Probe each server's reported worker-pool size (``status``'s jobs).
 
-    Unreachable servers get capacity 0 (they take no shard up front —
-    the re-dispatch path still never routes *to* them because a dead
-    probe is usually a dead submit). When every probe fails the sweep
+    Unreachable servers get capacity 0: they take no shard, and
+    re-dispatch only retries on servers that took one (a dead probe is
+    usually a dead submit). When every probe fails the sweep
     should still be attempted rather than refused on a flaky status
     round, so all capacities fall back to 1 and the submit path's own
     error handling decides.
@@ -119,64 +120,77 @@ def weighted_assignments(
     ]
 
 
-def _submit_shards(
-    assignments: list[tuple[str, tuple]],
-    framework_overhead_s: float | None,
-    timeout_s: float = DEFAULT_TIMEOUT_S,
-):
-    """Run (server, points) assignments concurrently with failure re-dispatch.
+def _submit_shards(assignments, submit, timeout_s: float = DEFAULT_TIMEOUT_S):
+    """Run ``(server, shard)`` assignments with failure re-dispatch.
 
-    Every shard that fails with a transport/unavailable error is retried
-    on the next server that has not itself died, in address order. Only
-    when every server is dead does the dispatch raise. Returns (reports
-    by request ID, list of cache deltas, dead server addresses).
+    The one re-dispatch loop of sweeps, serving splits and fuzz
+    campaigns. ``submit(client, shard)`` makes the shard's call on a
+    fresh :class:`ClusterClient`, closed after every call. The first
+    pass is concurrent; a shard whose server fails with a transport or
+    unavailable error then retries, one at a time, on the servers that
+    took a shard and have not failed, in the order given; with none
+    left the dispatch raises :class:`~repro.errors.ClusterError`. Yields
+    each shard's result in assignment order as it lands, so callers can
+    write finished shards through before a late one fails.
     """
+    servers = list(dict.fromkeys(server for server, _shard in assignments))
     dead: set[str] = set()
-    reports: dict = {}
-    deltas: list = []
-    failed: list[tuple] = []
+    failed: list = []
 
-    def submit(server: str, points: tuple):
+    def call(server: str, shard):
         with ClusterClient(server, timeout_s=timeout_s) as client:
-            return client.submit_points(points, framework_overhead_s)
+            return submit(client, shard)
 
     with ThreadPoolExecutor(max_workers=max(len(assignments), 1)) as pool:
         futures = [
-            (server, points, pool.submit(submit, server, points))
-            for server, points in assignments
+            (server, shard, pool.submit(call, server, shard))
+            for server, shard in assignments
         ]
-        for server, points, future in futures:
+        for server, shard, future in futures:
             try:
-                shard_reports, delta = future.result()
+                result = future.result()
             except _REDISPATCH_ERRORS:
                 dead.add(server)
-                failed.append(points)
+                failed.append(shard)
                 continue
-            reports.update(shard_reports)
-            deltas.append(delta)
+            yield result
 
-    for points in failed:
-        alive = [
-            server for server, _points in assignments if server not in dead
-        ]
-        placed = False
-        for server in alive:
+    for shard in failed:
+        for server in servers:
+            if server in dead:
+                continue
             try:
-                shard_reports, delta = submit(server, points)
+                result = call(server, shard)
             except _REDISPATCH_ERRORS:
                 dead.add(server)
                 continue
-            reports.update(shard_reports)
-            deltas.append(delta)
-            placed = True
+            yield result
             break
-        if not placed:
+        else:
             raise ClusterError(
-                f"shard of {len(points)} point(s) could not be placed: all"
-                f" {len({s for s, _ in assignments})} server(s) are dead or"
-                " draining"
+                f"shard of {len(shard)} point(s) could not be placed: all"
+                f" {len(servers)} server(s) are dead or draining"
             )
-    return reports, deltas, dead
+
+
+def _submit_points(
+    assignments, framework_overhead_s, session, timeout_s: float
+):
+    """Submit grid-point shards; yield ``(request ID, report)`` as they land.
+
+    Each shard's cache delta merges into ``session`` (when given) on
+    arrival.
+    """
+    for reports, delta in _submit_shards(
+        assignments,
+        lambda client, points: client.submit_points(
+            points, framework_overhead_s
+        ),
+        timeout_s,
+    ):
+        if session is not None:
+            session.cache.merge(delta)
+        yield from reports.items()
 
 
 def run_sweep_remote(
@@ -192,56 +206,37 @@ def run_sweep_remote(
 
     ``store``/``resume`` behave exactly as in
     :func:`repro.sweep.run_sweep`: resumed points are loaded instead of
-    dispatched, and every remotely-computed report is written through as
-    it arrives back, so an interrupted remote sweep loses at most its
-    in-flight shards. Server cache deltas are merged into the session
-    cache on join — the caller's process ends as warm as a local run.
-    ``timeout_s`` bounds one shard's round-trip; raise it for shards
-    whose simulations legitimately run long, or a healthy-but-busy
+    dispatched, and each shard's reports are written through as that
+    shard lands, so a sweep that fails or is interrupted keeps every
+    finished shard. Server cache deltas are merged into the session
+    cache as they land — the caller's process ends as warm as a local
+    run. ``timeout_s`` bounds one shard's round-trip; raise it for
+    shards whose simulations legitimately run long, or a healthy-but-busy
     server gets misread as dead.
     """
     servers = normalize_servers(servers)
     grid = expand(spec) if isinstance(spec, SweepSpec) else spec
-    if not isinstance(grid, SweepGrid):
-        raise ConfigError(
-            f"run_sweep_remote expects a SweepSpec or SweepGrid, got {spec!r}"
-        )
-    if resume and store is None:
-        raise ConfigError("resume=True requires a result store")
     session = session if session is not None else Session()
 
-    loaded = load_resumable(grid, store) if resume else {}
-    todo = tuple(point for point in grid if point.request_id not in loaded)
-    # Capacity-aware sharding: a server running a 4-worker pool reports
-    # jobs=4 in its status and takes ~4x the points of a 1-worker one.
-    assignments = weighted_assignments(
-        todo, servers, server_capacities(servers, timeout_s)
-    )
-    executed, deltas, _dead = _submit_shards(
-        assignments, grid.framework_overhead_s, timeout_s
-    )
-    for delta in deltas:
-        session.cache.merge(delta)
-    if store is not None:
-        by_id = grid.by_id()
-        for request_id, report in executed.items():
-            store.put(by_id[request_id], report)
+    def run_pending(todo):
+        # Capacity-aware sharding: a server running a 4-worker pool reports
+        # jobs=4 in its status and takes ~4x the points of a 1-worker one.
+        # The probe runs even when a resumed sweep has nothing to send;
+        # perfbench's sweep_rpc workload pins that RPC count.
+        capacities = server_capacities(servers, timeout_s)
+        assignments = weighted_assignments(todo, servers, capacities)
+        return _submit_points(
+            assignments, grid.framework_overhead_s, session, timeout_s
+        )
 
-    reports = tuple(
-        executed.get(point.request_id, loaded.get(point.request_id))
-        for point in grid
-    )
-    return SweepResult(
-        grid=grid,
-        reports=reports,
-        executed=tuple(
-            point.request_id for point in grid if point.request_id in executed
-        ),
-        loaded=tuple(
-            point.request_id for point in grid if point.request_id in loaded
-        ),
-        cache_stats=session.cache.stats(),
+    return sweep_grid(
+        grid,
+        "run_sweep_remote",
+        run_pending,
         jobs=len(servers),
+        store=store,
+        resume=resume,
+        session=session,
     )
 
 
@@ -388,12 +383,8 @@ def run_serving_split(
             (servers[index % len(servers)], (point,))
             for index, point in enumerate(points)
         ]
-        reports, deltas, _dead = _submit_shards(
-            assignments, grid.framework_overhead_s, timeout_s
-        )
-        if session is not None:
-            for delta in deltas:
-                session.cache.merge(delta)
+        overhead = grid.framework_overhead_s
+        reports = dict(_submit_points(assignments, overhead, session, timeout_s))
         parts = [reports[point.request_id] for point in points]
     return merge_serving_reports(
         parts,

@@ -9,8 +9,8 @@ workers as a warm start — they hit instead of recompute, and return only
 the entries they added beyond the warm set — so a resubmission of
 overlapping work costs lookups, not simulations.
 
-Execution rides the same shard core as local sweeps
-(:func:`repro.sweep.workers.run_shard_points`), which is what keeps a
+Execution rides the same shard core and shard-outcome merge as local
+sweeps (:func:`repro.sweep.workers.map_shards`), which is what keeps a
 remote sweep bit-identical to a local one: both paths run the identical
 deterministic code on the identical requests.
 """
@@ -25,12 +25,7 @@ from repro.api.session import Session
 from repro.errors import ConfigError
 from repro.gemm.cache import CacheEntries, TimingCache
 from repro.obs.metrics import MetricsRegistry
-from repro.sweep.workers import (
-    _ShardPayload,
-    _run_shard,
-    execute_point,
-    shard_points,
-)
+from repro.sweep.workers import execute_point, map_shards
 
 
 class WarmPool:
@@ -81,20 +76,16 @@ class WarmPool:
                         self._session, point, framework_overhead_s
                     )
             else:
-                payloads = [
-                    _ShardPayload(
-                        points=tuple(shard),
-                        framework_overhead_s=framework_overhead_s,
+                reports.update(
+                    map_shards(
+                        self._pool(),
+                        self._session,
+                        points,
+                        self.jobs,
+                        framework_overhead_s,
                         warm=before,
                     )
-                    for shard in shard_points(points, self.jobs)
-                ]
-                for outcome in self._pool().map(_run_shard, payloads):
-                    self.cache.merge(outcome.cache)
-                    if outcome.metrics is not None:
-                        self.metrics.merge(outcome.metrics)
-                    for request_id, report in outcome.reports:
-                        reports[request_id] = report
+                )
             after = self.cache.export_entries()
             self.submissions += 1
             self.points_run += len(points)
@@ -104,8 +95,7 @@ class WarmPool:
         """Counters for the ``status`` verb (all plain primitives).
 
         ``frames`` summarizes serving outcomes across every submission
-        this pool ran — offered/completed/dropped/missed/preempted —
-        the load signals a future autoscaler keys on (ROADMAP item 5a).
+        this pool ran — offered/completed/dropped/missed/preempted.
         """
         entries = self.cache.export_entries()
         stats = entries.stats

@@ -175,17 +175,22 @@ class ClusterServer:
                 self.state = "stopped"
             return self._ok(), True
         if verb == "submit":
-            return self._submit(message)
+            return self._admitted(self._submit, message)
         if verb == "fuzz":
-            return self._fuzz(message)
+            return self._admitted(self._fuzz, message)
         return (
             protocol.error_message("protocol", f"unknown verb {verb!r}"),
             False,
         )
 
-    def _submit(self, message: dict) -> tuple[dict, bool]:
-        # Admission is atomic with the drain/shutdown state flip: once
-        # inflight is bumped here, a concurrent shutdown waits for it.
+    def _admitted(self, handler, message: dict) -> tuple[dict, bool]:
+        """Run one ``submit``/``fuzz`` verb through the admission gate.
+
+        Admission is atomic with the drain/shutdown state flip: a server
+        that is not serving refuses with a typed ``unavailable`` error,
+        and once inflight is bumped here a concurrent shutdown waits for
+        the handler to finish — accepted work is never abandoned.
+        """
         with self._idle:
             if self.state != "serving":
                 return (
@@ -198,88 +203,59 @@ class ClusterServer:
                 )
             self._inflight += 1
         try:
-            try:
-                points = tuple(
-                    protocol.point_from_wire(item)
-                    for item in message.get("points", ())
-                )
-                overhead = message.get("framework_overhead_s")
-                protocol.verify_points(points, overhead)
-            except Exception as error:
-                return (
-                    protocol.error_message(
-                        protocol.error_code_for(error), str(error)
-                    ),
-                    False,
-                )
-            try:
-                with profile_phase(self.pool.metrics, "rpc_submit"):
-                    reports, cache = self.pool.run_points(points, overhead)
-                return protocol.result_message(reports, cache), False
-            except Exception as error:
-                return (
-                    protocol.error_message(
-                        "internal", f"shard failed: {error}"
-                    ),
-                    False,
-                )
+            return handler(message), False
         finally:
             with self._idle:
                 self._inflight -= 1
                 self._idle.notify_all()
 
-    def _fuzz(self, message: dict) -> tuple[dict, bool]:
-        # Same admission discipline as _submit: a fuzz shard accepted
-        # before a shutdown is finished, not abandoned.
-        with self._idle:
-            if self.state != "serving":
-                return (
-                    protocol.error_message(
-                        "unavailable",
-                        f"server {self.address} is {self.state}; submissions"
-                        " are refused",
-                    ),
-                    False,
-                )
-            self._inflight += 1
+    def _submit(self, message: dict) -> dict:
         try:
-            # Deferred: repro.fuzz sits above the cluster layer.
-            from repro.fuzz.campaign import run_indices
+            points = tuple(
+                protocol.point_from_wire(item)
+                for item in message.get("points", ())
+            )
+            overhead = message.get("framework_overhead_s")
+            protocol.verify_points(points, overhead)
+        except Exception as error:
+            return protocol.error_message(
+                protocol.error_code_for(error), str(error)
+            )
+        try:
+            with profile_phase(self.pool.metrics, "rpc_submit"):
+                reports, cache = self.pool.run_points(points, overhead)
+            return protocol.result_message(reports, cache)
+        except Exception as error:
+            return protocol.error_message("internal", f"shard failed: {error}")
 
-            try:
-                seed = int(message["seed"])
-                indices = [int(index) for index in message["indices"]]
-                shrink = bool(message.get("shrink", True))
-                inject = message.get("inject")
-                differential = bool(message.get("differential", False))
-            except (KeyError, TypeError, ValueError) as error:
-                return (
-                    protocol.error_message(
-                        "protocol", f"malformed fuzz shard: {error!r}"
-                    ),
-                    False,
+    def _fuzz(self, message: dict) -> dict:
+        # Deferred: repro.fuzz sits above the cluster layer.
+        from repro.fuzz.campaign import run_indices
+
+        try:
+            seed = int(message["seed"])
+            indices = [int(index) for index in message["indices"]]
+            shrink = bool(message.get("shrink", True))
+            inject = message.get("inject")
+            differential = bool(message.get("differential", False))
+        except (KeyError, TypeError, ValueError) as error:
+            return protocol.error_message(
+                "protocol", f"malformed fuzz shard: {error!r}"
+            )
+        try:
+            with profile_phase(self.pool.metrics, "rpc_fuzz"):
+                records = run_indices(
+                    seed,
+                    indices,
+                    shrink=shrink,
+                    inject=inject,
+                    differential=differential,
                 )
-            try:
-                with profile_phase(self.pool.metrics, "rpc_fuzz"):
-                    records = run_indices(
-                        seed,
-                        indices,
-                        shrink=shrink,
-                        inject=inject,
-                        differential=differential,
-                    )
-                return protocol.fuzz_result_message(records), False
-            except Exception as error:
-                return (
-                    protocol.error_message(
-                        "internal", f"fuzz shard failed: {error}"
-                    ),
-                    False,
-                )
-        finally:
-            with self._idle:
-                self._inflight -= 1
-                self._idle.notify_all()
+            return protocol.fuzz_result_message(records)
+        except Exception as error:
+            return protocol.error_message(
+                "internal", f"fuzz shard failed: {error}"
+            )
 
     # -- responses ---------------------------------------------------------------------
     def _ok(self) -> dict:

@@ -10,8 +10,8 @@ same. That identity is what makes the three execution modes equivalent:
   case record keyed ``(campaign_seed, index)``; re-running a campaign
   against the same store executes only the missing indices;
 * **remote** — :func:`run_campaign` deals index shards over
-  ``repro.cluster`` warm servers (capacity-weighted, with dead-server
-  re-dispatch, exactly like sweep dispatch) and the servers run the same
+  ``repro.cluster`` warm servers (capacity-weighted, through the same
+  dead-server re-dispatch loop as sweeps) and the servers run the same
   :func:`run_indices`.
 
 Failures are shrunk (:func:`repro.fuzz.shrink.shrink_case`) into
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -314,15 +313,15 @@ def _run_remote(
 ) -> list[CaseRecord]:
     """Deal pending indices over warm cluster servers.
 
-    Mirrors sweep dispatch: shards are capacity-weighted, and a shard
-    whose server dies mid-campaign is re-submitted to the next live
-    server. Raises when a shard exhausts every server.
+    Shards are capacity-weighted and go through the sweeps' re-dispatch
+    loop (:func:`repro.cluster.dispatch._submit_shards`): a shard whose
+    server dies mid-campaign is re-submitted to a live one, and a shard
+    no server can take raises :class:`~repro.errors.ClusterError`.
     """
     # Deferred import: local campaigns must not require the cluster
     # package's socket machinery.
-    from repro.cluster.client import ClusterClient
     from repro.cluster.dispatch import (
-        _REDISPATCH_ERRORS,
+        _submit_shards,
         normalize_servers,
         server_capacities,
         weighted_assignments,
@@ -330,43 +329,18 @@ def _run_remote(
 
     servers = normalize_servers(servers)
     capacities = server_capacities(servers, timeout_s=timeout_s)
-    assignments = weighted_assignments(pending, servers, capacities)
-    dead: set[str] = set()
-
-    def submit(assigned: str, shard) -> list[CaseRecord]:
-        order = [assigned] + [
-            server for server in servers if server != assigned
-        ]
-        last_error: Exception | None = None
-        for address in order:
-            if address in dead:
-                continue
-            client = ClusterClient(address, timeout_s=timeout_s)
-            try:
-                return client.submit_fuzz(
-                    campaign_seed,
-                    shard,
-                    shrink=shrink,
-                    inject=inject,
-                    differential=differential,
-                )
-            except _REDISPATCH_ERRORS as error:
-                dead.add(address)
-                last_error = error
-        raise ConfigError(
-            f"fuzz shard {list(shard)!r} failed on every server:"
-            f" {last_error}"
-        )
-
-    records: list[CaseRecord] = []
-    with ThreadPoolExecutor(max_workers=max(1, len(assignments))) as pool:
-        futures = [
-            pool.submit(submit, address, shard)
-            for address, shard in assignments
-        ]
-        for future in futures:
-            records.extend(future.result())
-    return records
+    shards = _submit_shards(
+        weighted_assignments(pending, servers, capacities),
+        lambda client, shard: client.submit_fuzz(
+            campaign_seed,
+            shard,
+            shrink=shrink,
+            inject=inject,
+            differential=differential,
+        ),
+        timeout_s,
+    )
+    return [record for records in shards for record in records]
 
 
 def run_campaign(

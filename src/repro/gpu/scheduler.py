@@ -27,9 +27,6 @@ class SchedulerPolicy(abc.ABC):
     def notify_issued(self, warp_id: int) -> None:
         """Record that ``warp_id`` issued this cycle."""
 
-    def notify_cycle(self) -> None:
-        """Hook called once per cycle (default: nothing)."""
-
 
 class GreedyThenOldestScheduler(SchedulerPolicy):
     """GTO: stick with the last issued warp, else lowest warp id (oldest)."""

@@ -249,10 +249,9 @@ def histogram_stats(states: list[dict]) -> dict:
 def record_serving_metrics(registry: MetricsRegistry, report) -> None:
     """Count one serving-shaped report's frame outcomes into ``registry``.
 
-    These are the counters the cluster ``metrics`` verb exposes and the
-    future autoscaler polls (ROADMAP item 5a): offered/completed/dropped/
-    missed/preempted frame totals, exact across merges because they are
-    integer sums.
+    These are the counters the cluster ``metrics`` verb exposes:
+    offered/completed/dropped/missed/preempted frame totals, exact across
+    merges because they are integer sums.
     """
     registry.counter("frames_offered_total").inc(report.offered)
     registry.counter("frames_completed_total").inc(report.completed)

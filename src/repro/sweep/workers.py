@@ -14,6 +14,8 @@ of sharing them live. With a :class:`~repro.sweep.store.ResultStore`
 attached, every finished point is persisted immediately; with
 ``resume=True``, points already in the store are loaded instead of
 simulated, so re-running a finished sweep executes zero simulations.
+Remote sweeps share that resume and write-through skeleton
+(:func:`sweep_grid`).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 from repro.api.results import GemmReport, ModelReport
 from repro.api.session import Session
@@ -78,21 +81,6 @@ class SweepResult:
 
 
 @dataclass(frozen=True)
-class _ShardPayload:
-    """Everything one worker process needs (must stay picklable).
-
-    ``warm`` optionally pre-loads the worker's private cache (the cluster
-    pool ships its merged cache so warm workers skip recomputation); the
-    worker then exports only the entries *beyond* the warm set, keeping
-    the returned delta small.
-    """
-
-    points: tuple[SweepPoint, ...]
-    framework_overhead_s: float | None = None
-    warm: CacheEntries | None = None
-
-
-@dataclass(frozen=True)
 class ShardOutcome:
     """One shard's reports (by request ID) plus its new cache entries.
 
@@ -135,10 +123,12 @@ def run_shard_points(
 ) -> ShardOutcome:
     """The shard-execution core shared by local, pool, and remote paths.
 
-    Runs ``points`` in order through a private session. With ``warm``
-    entries the session starts pre-loaded (lookups against them count as
-    hits, so warm-pool statistics are observable) and the returned cache
-    holds only the entries this shard added beyond the warm set.
+    Runs ``points`` in order through a private session; this is the
+    worker-process entry point, so its arguments must stay picklable.
+    With ``warm`` entries (the cluster pool ships its merged cache) the
+    session starts pre-loaded — lookups against them count as hits, so
+    warm-pool statistics are observable — and the returned cache holds
+    only the entries this shard added beyond the warm set.
     """
     cache = TimingCache()
     baseline = None
@@ -163,13 +153,6 @@ def run_shard_points(
     )
 
 
-def _run_shard(payload: _ShardPayload) -> ShardOutcome:
-    """Worker entry point: run one shard in a private session/cache."""
-    return run_shard_points(
-        payload.points, payload.framework_overhead_s, payload.warm
-    )
-
-
 def shard_points(
     points: tuple[SweepPoint, ...], jobs: int
 ) -> list[list[SweepPoint]]:
@@ -178,6 +161,32 @@ def shard_points(
     for position, point in enumerate(points):
         shards[position % jobs].append(point)
     return [shard for shard in shards if shard]
+
+
+def map_shards(
+    executor,
+    session: Session,
+    points,
+    jobs: int,
+    framework_overhead_s: float | None = None,
+    warm: CacheEntries | None = None,
+):
+    """Run ``points`` as ``jobs`` round-robin shards on a process executor.
+
+    The one shard-outcome merge of local sweeps and the warm pool: yields
+    each shard's ``(request ID, report)`` pairs, shard by shard, after
+    folding that shard's new cache entries and metrics into ``session``.
+    """
+    for outcome in executor.map(
+        run_shard_points,
+        shard_points(points, jobs),
+        repeat(framework_overhead_s),
+        repeat(warm),
+    ):
+        session.cache.merge(outcome.cache)
+        if session.metrics is not None and outcome.metrics is not None:
+            session.metrics.merge(outcome.metrics)
+        yield from outcome.reports
 
 
 def load_resumable(
@@ -196,6 +205,61 @@ def load_resumable(
                 report = replace(report, tag=point.request.tag)
             loaded[point.request_id] = report
     return loaded
+
+
+def sweep_grid(
+    grid: SweepGrid,
+    caller: str,
+    run_pending,
+    *,
+    jobs: int,
+    store: ResultStore | None,
+    resume: bool,
+    session: Session,
+) -> SweepResult:
+    """The resume, write-through and result skeleton of every sweep.
+
+    ``run_pending(todo)`` yields ``(request ID, report)`` for the points
+    not resumed from ``store``, in any order; each report is persisted as
+    it arrives, so an interrupted sweep loses at most its in-flight work.
+    Local (:func:`run_sweep`) and remote
+    (:func:`repro.cluster.dispatch.run_sweep_remote`) sweeps differ only
+    in ``run_pending``.
+    """
+    if not isinstance(grid, SweepGrid):
+        raise ConfigError(
+            f"{caller} expects a SweepSpec or SweepGrid, got {grid!r}"
+        )
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    if resume and store is None:
+        raise ConfigError("resume=True requires a result store")
+
+    loaded = load_resumable(grid, store) if resume else {}
+    todo = tuple(point for point in grid if point.request_id not in loaded)
+    by_id = grid.by_id()
+    executed: dict[str, GemmReport | ModelReport] = {}
+    for request_id, report in run_pending(todo):
+        executed[request_id] = report
+        if store is not None:
+            store.put(by_id[request_id], report)
+
+    reports = tuple(
+        executed.get(point.request_id, loaded.get(point.request_id))
+        for point in grid
+    )
+    return SweepResult(
+        grid=grid,
+        reports=reports,
+        executed=tuple(
+            point.request_id for point in grid if point.request_id in executed
+        ),
+        loaded=tuple(
+            point.request_id for point in grid if point.request_id in loaded
+        ),
+        cache_stats=session.cache.stats(),
+        jobs=jobs,
+    )
 
 
 def run_sweep(
@@ -226,65 +290,25 @@ def run_sweep(
         cache warm for whatever the caller runs next.
     """
     grid = expand(spec) if isinstance(spec, SweepSpec) else spec
-    if not isinstance(grid, SweepGrid):
-        raise ConfigError(
-            f"run_sweep expects a SweepSpec or SweepGrid, got {spec!r}"
-        )
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    if resume and store is None:
-        raise ConfigError("resume=True requires a result store")
     session = session if session is not None else Session(cache=cache)
 
-    loaded = load_resumable(grid, store) if resume else {}
-    todo = tuple(
-        point for point in grid if point.request_id not in loaded
-    )
+    def run_pending(todo):
+        overhead = grid.framework_overhead_s
+        if jobs == 1 or len(todo) <= 1:
+            for point in todo:
+                yield point.request_id, execute_point(session, point, overhead)
+            return
+        with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
+            yield from map_shards(pool, session, todo, jobs, overhead)
 
-    executed: dict[str, GemmReport | ModelReport] = {}
-    if jobs == 1 or len(todo) <= 1:
-        for point in todo:
-            report = execute_point(
-                session, point, grid.framework_overhead_s
-            )
-            executed[point.request_id] = report
-            if store is not None:
-                store.put(point, report)
-    else:
-        shards = shard_points(todo, jobs)
-        payloads = [
-            _ShardPayload(
-                points=tuple(shard),
-                framework_overhead_s=grid.framework_overhead_s,
-            )
-            for shard in shards
-        ]
-        by_id = grid.by_id()
-        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            for result in pool.map(_run_shard, payloads):
-                session.cache.merge(result.cache)
-                if session.metrics is not None and result.metrics is not None:
-                    session.metrics.merge(result.metrics)
-                for request_id, report in result.reports:
-                    executed[request_id] = report
-                    if store is not None:
-                        store.put(by_id[request_id], report)
-
-    reports = tuple(
-        executed.get(point.request_id, loaded.get(point.request_id))
-        for point in grid
-    )
-    return SweepResult(
-        grid=grid,
-        reports=reports,
-        executed=tuple(
-            point.request_id for point in grid if point.request_id in executed
-        ),
-        loaded=tuple(
-            point.request_id for point in grid if point.request_id in loaded
-        ),
-        cache_stats=session.cache.stats(),
+    return sweep_grid(
+        grid,
+        "run_sweep",
+        run_pending,
         jobs=jobs,
+        store=store,
+        resume=resume,
+        session=session,
     )
 
 
@@ -293,7 +317,9 @@ __all__ = [
     "SweepResult",
     "execute_point",
     "load_resumable",
+    "map_shards",
     "run_shard_points",
     "run_sweep",
     "shard_points",
+    "sweep_grid",
 ]

@@ -116,9 +116,11 @@ class TestSweepGolden:
 
 class TestFailureRedispatch:
     def test_dead_server_shard_is_redispatched(self, two_servers):
-        """A server killed mid-sweep loses its shard, not the sweep."""
+        """Probe fallback: a server dead before the capacity probe gets
+        capacity 0 and no shard, so the live server runs the whole grid
+        and nothing is re-dispatched."""
         one, two = two_servers
-        two.close()  # killed before its shard lands
+        two.close()  # dead before the probe
         local = run_sweep(GRID, session=_fresh_session())
         remote = run_sweep_remote(
             GRID, (one.address, two.address), session=_fresh_session()
@@ -126,6 +128,58 @@ class TestFailureRedispatch:
         assert remote.reports == local.reports
         with ClusterClient(one.address) as client:
             assert client.status()["points"] == len(GRID)
+
+    def test_server_dead_after_probe_is_redispatched(
+        self, two_servers, close_after_probe
+    ):
+        """A server that passes the probe and dies before its submit
+        loses its shard to the survivor, not the sweep."""
+        one, two = two_servers
+        close_after_probe(two)
+        local = run_sweep(GRID, session=_fresh_session())
+        remote = run_sweep_remote(
+            GRID, (one.address, two.address), session=_fresh_session()
+        )
+        assert remote.reports == local.reports
+        with ClusterClient(one.address) as client:
+            status = client.status()
+        # Its own shard, then the dead server's re-dispatched one.
+        assert status["submissions"] == 2
+        assert status["points"] == len(GRID)
+
+    def test_finished_shard_is_stored_when_a_late_shard_fails(
+        self, two_servers, close_after_probe, monkeypatch, tmp_path
+    ):
+        """Write-through: server one's shard lands, server two dies on
+        submit and server one refuses the re-dispatch; the sweep raises
+        but the store keeps server one's rows."""
+        one, two = two_servers
+        close_after_probe(two)
+        run_points = one.pool.run_points
+
+        def run_then_drain(points, framework_overhead_s=None):
+            result = run_points(points, framework_overhead_s)
+            with ClusterClient(one.address) as client:
+                client.drain()
+            return result
+
+        monkeypatch.setattr(one.pool, "run_points", run_then_drain)
+        local = run_sweep(GRID, session=_fresh_session()).report_by_id()
+        with ResultStore(tmp_path / "partial.sqlite") as store:
+            with pytest.raises(ClusterError, match="dead or draining"):
+                run_sweep_remote(
+                    GRID,
+                    (one.address, two.address),
+                    store=store,
+                    session=_fresh_session(),
+                )
+            stored = {
+                point.request_id: store.get(point) for point in GRID
+            }
+        kept = {rid: report for rid, report in stored.items() if report}
+        # Equal capacities deal server one every other point.
+        assert len(kept) == len(GRID) // 2
+        assert kept == {rid: local[rid] for rid in kept}
 
     def test_draining_server_shard_is_redispatched(self, two_servers):
         one, two = two_servers

@@ -61,3 +61,26 @@ def fp16():
 @pytest.fixture(scope="session")
 def fp32():
     return DataType.FP32
+
+
+@pytest.fixture()
+def close_after_probe(monkeypatch):
+    """Arm: close a cluster server right after dispatch's capacity probe.
+
+    The server answers ``status`` (so it is dealt a shard) and then
+    refuses every connection, which is how a server that dies between
+    the probe and its submit looks to the dispatcher.
+    """
+    from repro.cluster import dispatch
+
+    def arm(server) -> None:
+        probe = dispatch.server_capacities
+
+        def probe_then_close(*args, **kwargs):
+            capacities = probe(*args, **kwargs)
+            server.close()
+            return capacities
+
+        monkeypatch.setattr(dispatch, "server_capacities", probe_then_close)
+
+    return arm

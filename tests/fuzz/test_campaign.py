@@ -1,10 +1,14 @@
 """Campaign runner: determinism, sqlite corpus resume, remote == local."""
 
+import gc
+import warnings
+
 import pytest
 
 from repro.api.results import report_from_dict
 from repro.cluster.client import ClusterClient
 from repro.cluster.server import ClusterServer
+from repro.errors import ClusterError
 from repro.fuzz.campaign import (
     CaseRecord,
     CorpusStore,
@@ -12,6 +16,7 @@ from repro.fuzz.campaign import (
     run_campaign,
     run_indices,
 )
+from repro.obs.selfprof import PHASE_METRIC
 
 CAMPAIGN_SEED = 7
 BATCH = 8
@@ -129,3 +134,40 @@ class TestRemoteDispatch:
             CAMPAIGN_SEED, BATCH, servers=[server.address]
         )
         assert remote.to_json() == local.to_json()
+
+    def test_remote_campaign_closes_its_connections(self, server):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            run_campaign(CAMPAIGN_SEED, BATCH, servers=[server.address])
+            gc.collect()
+        unclosed = [
+            str(warning.message)
+            for warning in caught
+            if issubclass(warning.category, ResourceWarning)
+            and "socket" in str(warning.message)
+        ]
+        assert unclosed == []
+
+    def test_campaign_without_a_live_server_raises_cluster_error(self):
+        gone = ClusterServer(jobs=1)
+        gone.start()
+        gone.close()
+        with pytest.raises(ClusterError, match="dead or draining"):
+            run_campaign(CAMPAIGN_SEED, BATCH, servers=[gone.address])
+
+    def test_server_dead_after_probe_is_redispatched(self, close_after_probe):
+        """A server that passes the probe and dies before its submit
+        loses its shard to the survivor; the records match a local run."""
+        with ClusterServer(jobs=1) as one, ClusterServer(jobs=1) as two:
+            one.start()
+            two.start()
+            close_after_probe(two)
+            remote = run_campaign(
+                CAMPAIGN_SEED, BATCH, servers=[one.address, two.address]
+            )
+            shards = one.pool.metrics.histogram(
+                PHASE_METRIC, phase="rpc_fuzz"
+            ).sketch.count
+        assert remote.to_json() == run_campaign(CAMPAIGN_SEED, BATCH).to_json()
+        # Its own shard, then the dead server's re-dispatched one.
+        assert shards == 2
