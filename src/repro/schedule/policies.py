@@ -41,7 +41,12 @@ class SchedulingPolicy:
         return sorted(ready, key=lambda task: (task.release_s, task.uid))
 
     def weight(self, task) -> float:
-        """The task's share weight on contended resources."""
+        """The task's share weight on contended resources.
+
+        Must be a pure function of the task: the timeline core reads it
+        once per dispatched task, when it builds the task's share plan,
+        and uses that value for as long as the task runs.
+        """
         return 1.0
 
 

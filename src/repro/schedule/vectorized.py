@@ -15,18 +15,24 @@ event:
   trace length); here heads enter a sorted arrival index once, when their
   release passes, and leave it on start/drop, so each review costs only
   the frames actually queued;
-* **memoized share recomputation** — weight-scaled resource loads and
-  per-task slowdowns are recomputed only when the running set changes
-  (dispatch or completion), not every event;
+* **share plans** — when a task is dispatched its policy weight, its
+  counted claims and its interference pressure are folded once into a
+  plan of ``(resource slot, amount * weight)`` adds plus a share-class
+  id (its counted slots and weight). When the running set changes, the
+  loads are the plans' adds summed in running order, and each class's
+  slowdown (and, per event, its ``dt / slowdown`` step) is computed
+  once for all the running tasks that share it;
 * **analytic solo-chain fast path** — when exactly one task runs, its
-  slowdown is exactly 1.0, so a dependency chain's completions are the
-  plain left-to-right sum of durations. The fast path advances whole
-  chain segments in a tight loop — skipping release scans, QoS review,
-  and policy dispatch per step — whenever it can prove those would be
-  no-ops: no other ready task, the next pending release and the QoS
-  horizon strictly after the chain step's completion, and (under QoS) the
-  successor is not a frame head. Every float operation it performs is
-  the same operation, in the same order, as the reference loop's.
+  slowdown is exactly 1.0 (unless its claims on one resource add up to
+  more than its weight, which its plan records), so a dependency chain's
+  completions are the plain left-to-right sum of durations. The fast
+  path advances whole chain segments in a tight loop — skipping release
+  scans, QoS review, and policy dispatch per step — whenever it can
+  prove those would be no-ops: no other ready task, the next pending
+  release and the QoS horizon strictly after the chain step's
+  completion, and (under QoS) the successor is not a frame head. Every
+  float operation it performs is the same operation, in the same order,
+  as the reference loop's.
 
 Bit-identity is pinned three ways: the parity suite
 (``tests/schedule/test_vectorized.py``) compares reports against the
@@ -48,6 +54,7 @@ import heapq
 
 from bisect import bisect_left, insort
 from dataclasses import replace
+from typing import NamedTuple
 
 from repro.errors import SchedulingError
 from repro.schedule.policies import (
@@ -73,6 +80,63 @@ from repro.serving.qos import (
     QueueCapPolicy,
     ShedPolicy,
 )
+
+
+#: The slot of each resource kind in a load vector.
+_KINDS = tuple(ResourceKind)
+_SLOT = {kind: slot for slot, kind in enumerate(_KINDS)}
+
+
+class _SharePlan(NamedTuple):
+    """A dispatched task's part in the shares, built once by
+    :meth:`VectorCore._build_plan` for every task with equal claims and
+    policy weight."""
+
+    #: ``(slot, amount * weight)`` load contributions in the reference
+    #: loop's order: counted claims, then interference pressure.
+    adds: tuple[tuple[int, float], ...]
+    #: Slots of the counted claims, the loads the slowdown reads.
+    counted: tuple[int, ...]
+    weight: float
+    #: Id of ``(counted, weight)``: tasks of one class share a slowdown.
+    share_class: int
+    #: Whether the task runs alone at slowdown exactly 1.0 (false when
+    #: its claims on one kind add up to more than its weight), which
+    #: the solo chain needs to condense its step.
+    solo_full_speed: bool
+    #: The task's busy/load-integral accrual when it runs alone.
+    solo_accrual: tuple[tuple[ResourceKind, float], ...]
+    touches_substrate: bool
+
+
+def _sum_loads(adds_seq) -> tuple[list, list]:
+    """Sum ``(slot, amount)`` adds left to right, each slot from 0.0, as
+    the reference loop builds its load dict. Returns the per-slot loads
+    (None where untouched) and, in that dict's key order, ``(kind,
+    min(load, 1.0))`` per touched kind: what each second of an event's
+    ``dt`` adds to its busy time and load integral."""
+    loads: list = [None] * len(_KINDS)
+    touched: list[int] = []
+    for adds in adds_seq:
+        for slot, amount in adds:
+            load = loads[slot]
+            if load is None:
+                touched.append(slot)
+                load = 0.0
+            loads[slot] = load + amount
+    return loads, [(_KINDS[slot], min(loads[slot], 1.0)) for slot in touched]
+
+
+def _slowdown_of(
+    loads: list, counted: tuple[int, ...], weight: float
+) -> float:
+    """The reference loop's slowdown of a task with these counted slots
+    and weight under these loads."""
+    worst = 1.0
+    for slot in counted:
+        worst = max(worst, loads[slot] / weight)
+    return worst
+
 
 #: Task lifecycle states (internal).
 _BLOCKED, _PENDING, _READY, _RUNNING, _DONE, _DROPPED = range(6)
@@ -200,17 +264,25 @@ class VectorCore:
         self.live = 0
         self.peak_live = 0
 
+        # Share plans by (claims, weight), and in front of them by
+        # (id(claims), weight): frames share their template's claim
+        # tuple, so the id lookup hits without hashing claim contents.
+        # Its entries are (claims, plan), holding the tuple so its id
+        # cannot be reused while the entry lives.
+        self._plans_by_value: dict[tuple[tuple, float], _SharePlan] = {}
+        self._plans_by_id: dict[tuple[int, float], tuple] = {}
+        # Share-class id of each (counted slots, weight).
+        self._classes: dict[tuple[tuple[int, ...], float], int] = {}
+        # One ``(uid, plan, completion limit)`` per task of ``running``,
+        # in running order, kept in step with it wherever a task starts
+        # or finishes.
+        self._running_shares: list[tuple[int, _SharePlan, float]] = []
+        # Derived from those by ``_compute_shares`` when the running set
+        # changes: busy/load-integral accrual pairs and the slowdown per
+        # share class.
         self._shares_dirty = True
-        self._load: dict[ResourceKind, float] = {}
+        self._accrual: list[tuple[ResourceKind, float]] = []
         self._slowdown: dict[int, float] = {}
-        self._solo_cache: dict = {}
-        # Per-(id(claims), weight, mode) memo for the solo chain:
-        # accrual pairs with ``min(amount, 1.0)`` pre-applied, plus
-        # whether the task touches the shared substrate at all. Keyed by
-        # claim-tuple identity (tuples are shared across frames and
-        # outlive the scheduler via ``by_uid``) so lookups avoid
-        # hashing dataclass contents on every condensed step.
-        self._chain_cache: dict = {}
         self._fast_ok = type(policy) in _FAST_POLICIES and (
             qos is None or type(qos) in _FAST_QOS
         )
@@ -525,84 +597,96 @@ class VectorCore:
                 self.on_resolve(task, None, record)
 
     # -- shares ------------------------------------------------------------------------
-    def _compute_shares(self) -> None:
-        """Recompute loads/slowdowns — same arithmetic, same order as the
-        reference loop, so memoized values are bit-identical to a rescan."""
+    def _plan(self, task: OpTask) -> _SharePlan:
+        """``task``'s share plan (see :class:`_SharePlan`), cached.
+
+        The policy weight is read here, once per dispatched task, which
+        is why :meth:`SchedulingPolicy.weight` must be a pure function of
+        the task.
+        """
+        weight = self.policy.weight(task)
+        claims = task.claims
+        entry = self._plans_by_id.get((id(claims), weight))
+        if entry is not None:
+            return entry[1]
+        # Lowering gives every op its own claim tuple, but there are few
+        # distinct ones: an equal tuple's plan serves this one too.
+        plan = self._plans_by_value.get((claims, weight))
+        if plan is None:
+            plan = self._plans_by_value[claims, weight] = self._build_plan(
+                task, weight
+            )
+        self._plans_by_id[id(claims), weight] = (claims, plan)
+        return plan
+
+    def _build_plan(self, task: OpTask, weight: float) -> _SharePlan:
+        """Each ``amount * weight`` here is the float the reference loop
+        computes for the same claim on every event."""
         matrix = self.matrix
-        policy = self.policy
-        load: dict[ResourceKind, float] = {}
-        for task in self.running:
-            weight = policy.weight(task)
-            for claim in task.claims:
-                if matrix is not None and claim.fraction < 1.0:
-                    continue
-                load[claim.kind] = (
-                    load.get(claim.kind, 0.0) + claim.fraction * weight
-                )
-            if matrix is not None:
-                primaries = frozenset(
-                    claim.kind
-                    for claim in task.claims
-                    if claim.fraction >= 1.0
-                )
-                for victim, factor in matrix.pressure(primaries).items():
-                    load[victim] = load.get(victim, 0.0) + factor * weight
+        adds = [
+            (_SLOT[claim.kind], claim.fraction * weight)
+            for claim in task.claims
+            if matrix is None or claim.fraction >= 1.0
+        ]
+        counted = tuple(slot for slot, _ in adds)
+        if matrix is not None:
+            primaries = frozenset(
+                claim.kind for claim in task.claims if claim.fraction >= 1.0
+            )
+            adds += [
+                (_SLOT[victim], factor * weight)
+                for victim, factor in matrix.pressure(primaries).items()
+            ]
+        loads, accrual = _sum_loads((adds,))
+        return _SharePlan(
+            adds=tuple(adds),
+            counted=counted,
+            weight=weight,
+            share_class=self._classes.setdefault(
+                (counted, weight), len(self._classes)
+            ),
+            solo_full_speed=_slowdown_of(loads, counted, weight) == 1.0,
+            solo_accrual=tuple(accrual),
+            touches_substrate=_touches_substrate(task),
+        )
+
+    def _compute_shares(self) -> None:
+        """Loads and slowdowns of the running set: the reference loop's
+        float operations in its order, with each class's slowdown
+        computed once for all its running tasks."""
+        shares = self._running_shares
+        loads, self._accrual = _sum_loads([plan.adds for _, plan, _ in shares])
         slowdown: dict[int, float] = {}
-        for task in self.running:
-            weight = policy.weight(task)
-            worst = 1.0
-            for claim in task.claims:
-                if matrix is not None and claim.fraction < 1.0:
-                    continue
-                worst = max(worst, load[claim.kind] / weight)
-            slowdown[task.uid] = worst
-        self._load = load
+        for _, plan, _ in shares:
+            if plan.share_class not in slowdown:
+                slowdown[plan.share_class] = _slowdown_of(
+                    loads, plan.counted, plan.weight
+                )
         self._slowdown = slowdown
         self._shares_dirty = False
 
-    def _solo_load(self, task: OpTask) -> dict[ResourceKind, float]:
-        """A single running task's load dict (memoized by claims/weight —
-        frame templates share claim tuples, so chains hit the cache)."""
-        weight = self.policy.weight(task)
-        key = (task.claims, weight)
-        load = self._solo_cache.get(key)
-        if load is None:
-            matrix = self.matrix
-            load = {}
-            for claim in task.claims:
-                if matrix is not None and claim.fraction < 1.0:
-                    continue
-                load[claim.kind] = (
-                    load.get(claim.kind, 0.0) + claim.fraction * weight
-                )
-            if matrix is not None:
-                primaries = frozenset(
-                    claim.kind
-                    for claim in task.claims
-                    if claim.fraction >= 1.0
-                )
-                for victim, factor in matrix.pressure(primaries).items():
-                    load[victim] = load.get(victim, 0.0) + factor * weight
-            self._solo_cache[key] = load
-        return load
+    def _limit(self, uid: int) -> float:
+        """The remaining work at or below which a task has finished:
+        float dust relative to its charged work (reference parity)."""
+        return 1e-12 * self.charged[uid] + 1e-18
 
     def _charge_substrate(self, task: OpTask) -> None:
-        """Mode-switch accounting at dispatch (reference semantics)."""
-        if _touches_substrate(task):
-            if (
-                task.cross_switch_s > 0.0
-                and self.substrate_mode is not None
-                and self.substrate_mode != task.mode
-                and self.substrate_stream != task.stream
-            ):
-                self.remaining[task.uid] += task.cross_switch_s
-                self.charged[task.uid] += task.cross_switch_s
-                self.mode_switches += 1
-                self.switch_overhead += task.cross_switch_s
-                if self.tracer is not None:
-                    self.tracer.switch(self.now, task, task.cross_switch_s)
-            self.substrate_mode = task.mode
-            self.substrate_stream = task.stream
+        """Mode-switch accounting at dispatch of a task that touches the
+        MAC substrate (reference semantics)."""
+        if (
+            task.cross_switch_s > 0.0
+            and self.substrate_mode is not None
+            and self.substrate_mode != task.mode
+            and self.substrate_stream != task.stream
+        ):
+            self.remaining[task.uid] += task.cross_switch_s
+            self.charged[task.uid] += task.cross_switch_s
+            self.mode_switches += 1
+            self.switch_overhead += task.cross_switch_s
+            if self.tracer is not None:
+                self.tracer.switch(self.now, task, task.cross_switch_s)
+        self.substrate_mode = task.mode
+        self.substrate_stream = task.stream
 
     # -- the solo-chain fast path ------------------------------------------------------
     def _fast_chain(self) -> bool:
@@ -610,14 +694,17 @@ class VectorCore:
         without the generic loop's per-event scans.
 
         Every condensed step is provably identical to one full reference-loop
-        iteration: nothing else is ready, the next pending release, frame
-        arrival and QoS horizon land strictly after the step's completion
-        (so the release drain and review would be no-ops — admission
-        policies guarantee their decision is constant before ``next_event``),
-        and the completed task's single successor is dispatchable alone.
+        iteration: nothing else is ready, the running task's slowdown alone
+        is exactly 1.0, the next pending release, frame arrival and QoS
+        horizon land strictly after the step's completion (so the release
+        drain and review would be no-ops — admission policies guarantee
+        their decision is constant before ``next_event``), and the
+        completed task's single successor is dispatchable alone.
         Returns True when at least one step was condensed.
         """
-        if not self._fast_ok:
+        # The loop below needs a lone running task and nothing ready;
+        # without one, skip its horizon queries (each scans the queue).
+        if not self._fast_ok or len(self.running) != 1 or self.ready:
             return False
         qos = self.qos
         horizon = None
@@ -651,11 +738,12 @@ class VectorCore:
         dependents = self.dependents
         pending = self.pending
         arrivals = self.arrival_heap
-        chain_cache = self._chain_cache
+        plans_by_id = self._plans_by_id
+        plan_for = self._plan
+        weight_of = self.policy.weight
         collect = self.collect
         completion_order = self.completion_order
         on_resolve = self.on_resolve
-        weight_of = self.policy.weight
         tracer = self.tracer
         substrate_mode = self.substrate_mode
         substrate_stream = self.substrate_stream
@@ -663,13 +751,14 @@ class VectorCore:
         events = self.events
         done = self.done
         stepped = False
+        uid, plan, _ = self._running_shares[0]
         while len(running) == 1 and not ready:
             task = running[0]
-            uid = task.uid
+            if not plan.solo_full_speed:
+                break
             rem = remaining[uid]
-            # Alone on the machine the slowdown is exactly 1.0 (a full
-            # claim's load equals the task's own weight), so the reference
-            # loop's dt is exactly ``rem``.
+            # Alone on the machine the slowdown is exactly 1.0, so the
+            # reference loop's dt is exactly ``rem``.
             completion = now + rem
             while pending and status.get(pending[0][1]) != _PENDING:
                 heapq.heappop(pending)
@@ -698,16 +787,13 @@ class VectorCore:
             # successor there — one reference iteration, condensed.
             events += 1
             if rem > 0.0:
-                key = (id(task.claims), weight_of(task), task.mode)
-                memo = chain_cache.get(key)
-                if memo is None:
-                    memo = self._chain_memo(task, key)
-                for kind, amount in memo[0]:
+                for kind, amount in plan.solo_accrual:
                     busy_set(kind, busy_get(kind, 0.0) + rem)
                     li_set(kind, li_get(kind, 0.0) + amount * rem)
                 now += rem
             remaining[uid] = 0.0
             running.clear()
+            stepped = True
             # Inlined ``_complete``: the sole successor's dependency
             # resolves here, and since we dispatch it immediately the
             # generic loop's PENDING push/pop pair is unobservable — skip it.
@@ -739,14 +825,13 @@ class VectorCore:
             start[succ_uid] = now
             if tracer is not None:
                 tracer.begin(now, successor)
-            succ_key = (
-                id(successor.claims), weight_of(successor), successor.mode
+            # Inlined ``_plan`` on a cache hit.
+            entry = plans_by_id.get(
+                (id(successor.claims), weight_of(successor))
             )
-            succ_memo = chain_cache.get(succ_key)
-            if succ_memo is None:
-                succ_memo = self._chain_memo(successor, succ_key)
-            if succ_memo[1]:
-                # Inlined ``_charge_substrate`` (relevance memoized).
+            succ_plan = plan_for(successor) if entry is None else entry[1]
+            if succ_plan.touches_substrate:
+                # Inlined ``_charge_substrate``.
                 if (
                     successor.cross_switch_s > 0.0
                     and substrate_mode is not None
@@ -762,28 +847,19 @@ class VectorCore:
                 substrate_mode = successor.mode
                 substrate_stream = successor.stream
             running.append(successor)
-            stepped = True
+            uid, plan = succ_uid, succ_plan
         self.now = now
         self.events = events
         self.done = done
         self.substrate_mode = substrate_mode
         self.substrate_stream = substrate_stream
         if stepped:
+            # Only the last task dispatched here can still be running.
+            self._running_shares[:] = (
+                [(uid, plan, self._limit(uid))] if running else []
+            )
             self._shares_dirty = True
         return stepped
-
-    def _chain_memo(self, task: OpTask, key) -> tuple:
-        """Build the chain cache entry for ``key``: busy/load accrual
-        pairs (``min(amount, 1.0)`` folded in — same float value the
-        generic loop computes per step) and whether the task can charge
-        the shared substrate."""
-        pairs = tuple(
-            (kind, min(amount, 1.0))
-            for kind, amount in self._solo_load(task).items()
-        )
-        memo = (pairs, _touches_substrate(task))
-        self._chain_cache[key] = memo
-        return memo
 
     # -- the generic event loop --------------------------------------------------------
     def run_loop(self, feeder=None) -> None:
@@ -861,7 +937,9 @@ class VectorCore:
                     self.status[task.uid] = _RUNNING
                     if self.tracer is not None:
                         self.tracer.begin(self.now, task)
-                    self._charge_substrate(task)
+                    plan = self._plan(task)
+                    if plan.touches_substrate:
+                        self._charge_substrate(task)
                     if qos is not None and task.frame_head:
                         self._queued_discard(task.uid)
                         if self.qos_preemptive:
@@ -870,6 +948,9 @@ class VectorCore:
                                 self.head_key[task.uid],
                             )
                     self.running.append(task)
+                    self._running_shares.append(
+                        (task.uid, plan, self._limit(task.uid))
+                    )
                 self._shares_dirty = True
 
             if not self.running:
@@ -890,13 +971,13 @@ class VectorCore:
 
             if self._shares_dirty:
                 self._compute_shares()
-            load = self._load
+            shares = self._running_shares
             slowdown = self._slowdown
             remaining = self.remaining
 
             dt = min(
-                remaining[task.uid] * slowdown[task.uid]
-                for task in self.running
+                remaining[uid] * slowdown[plan.share_class]
+                for uid, plan, _ in shares
             )
             release = self._pending_release()
             if release is not None:
@@ -913,27 +994,39 @@ class VectorCore:
                         dt = min(dt, ihorizon - self.now)
             dt = max(dt, 0.0)
 
+            # One pass advances every running task and finds the
+            # finished ones by position, so removing them never compares
+            # tasks field by field.
+            finished = []
             if dt > 0.0:
                 busy = self.busy
                 load_integral = self.load_integral
-                for kind, amount in load.items():
+                for kind, amount in self._accrual:
                     busy[kind] = busy.get(kind, 0.0) + dt
                     load_integral[kind] = (
-                        load_integral.get(kind, 0.0) + min(amount, 1.0) * dt
+                        load_integral.get(kind, 0.0) + amount * dt
                     )
-                for task in self.running:
-                    remaining[task.uid] -= dt / slowdown[task.uid]
+                step = {
+                    share_class: dt / class_slowdown
+                    for share_class, class_slowdown in slowdown.items()
+                }
+                for index, (uid, plan, limit) in enumerate(shares):
+                    left = remaining[uid] - step[plan.share_class]
+                    remaining[uid] = left
+                    if left <= limit:
+                        finished.append(index)
                 self.now += dt
-
-            charged = self.charged
-            finished = [
-                task
-                for task in self.running
-                if remaining[task.uid] <= 1e-12 * charged[task.uid] + 1e-18
-            ]
+            else:
+                for index, (uid, _, limit) in enumerate(shares):
+                    if remaining[uid] <= limit:
+                        finished.append(index)
             if finished:
-                for task in finished:
-                    self.running.remove(task)
+                running = self.running
+                tasks = [running[index] for index in finished]
+                for index in reversed(finished):
+                    del running[index]
+                    del shares[index]
+                for task in tasks:
                     self._complete(task)
                 self._shares_dirty = True
 

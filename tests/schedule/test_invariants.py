@@ -46,8 +46,9 @@ _RELEASE = st.floats(
 
 
 @st.composite
-def task_sets(draw):
-    """Frame-chained multi-stream task sets (the shape platforms emit)."""
+def task_sets(draw, claim_choices=CLAIM_CHOICES):
+    """Frame-chained multi-stream task sets (the shape platforms emit),
+    each task's claims drawn from ``claim_choices``."""
     tasks = []
     uid = 0
     stream_count = draw(st.integers(min_value=1, max_value=3))
@@ -76,7 +77,7 @@ def task_sets(draw):
                         uid=uid,
                         name=f"{stream}/f{frame}/op{position}",
                         seconds=draw(_SECONDS),
-                        claims=draw(st.sampled_from(CLAIM_CHOICES)),
+                        claims=draw(st.sampled_from(claim_choices)),
                         stream=stream,
                         frame=frame,
                         deps=deps,
