@@ -10,32 +10,18 @@ bank camping between warps executing identical code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.config import GpuConfig
 from repro.errors import SimulationError
 
 
-@dataclass
-class PortBudget:
-    """Per-cycle read/write operand budget; fractional carry accumulates."""
-
-    read_capacity: float
-    write_capacity: float
-    reads_used: float = 0.0
-    writes_used: float = 0.0
-
-    def reset(self) -> None:
-        self.reads_used = 0.0
-        self.writes_used = 0.0
-
-
 class RegisterFileModel:
-    """Tracks operand-port usage cycle by cycle.
+    """Operand-port capacities and the operands a run moved.
 
-    The SM pipeline calls :meth:`try_reserve` at issue; if the instruction's
-    operand reads do not fit in the remaining budget of this cycle, the
-    issue stalls (counted as ``rf_stall``).
+    The SM books each issue's operand reads and writes on its ``rf_read``
+    and ``rf_write`` :class:`~repro.gpu.sm.ThroughputResource` at
+    ``1 / capacity`` cycles per operand, so an issue that finds a port's
+    queue full stalls as ``stall_rf_read`` or ``stall_rf_write``; it adds
+    what issued to :attr:`total_reads` and :attr:`total_writes`.
     """
 
     def __init__(self, config: GpuConfig, collector_efficiency: float = 0.9) -> None:
@@ -44,35 +30,7 @@ class RegisterFileModel:
         self.config = config
         # One read port per bank; arbitration efficiency covers collisions
         # between warps whose identical register numbering camps on banks.
-        self._budget = PortBudget(
-            read_capacity=config.register_file_banks * collector_efficiency,
-            write_capacity=config.register_file_banks * collector_efficiency / 2.0,
-        )
+        self.read_capacity = config.register_file_banks * collector_efficiency
+        self.write_capacity = self.read_capacity / 2.0
         self.total_reads = 0.0
         self.total_writes = 0.0
-
-    def new_cycle(self) -> None:
-        self._budget.reset()
-
-    def try_reserve(self, reads: int, writes: int) -> bool:
-        """Reserve operand ports for one instruction; False == stall."""
-        if reads < 0 or writes < 0:
-            raise SimulationError("operand counts must be non-negative")
-        budget = self._budget
-        if budget.reads_used + reads > budget.read_capacity + 1e-9:
-            return False
-        if budget.writes_used + writes > budget.write_capacity + 1e-9:
-            return False
-        budget.reads_used += reads
-        budget.writes_used += writes
-        self.total_reads += reads
-        self.total_writes += writes
-        return True
-
-    @property
-    def read_capacity(self) -> float:
-        return self._budget.read_capacity
-
-    @property
-    def write_capacity(self) -> float:
-        return self._budget.write_capacity

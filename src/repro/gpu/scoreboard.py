@@ -20,14 +20,7 @@ class Scoreboard:
 
     def ready(self, warp_id: int, sources: Iterable[int], now: float) -> bool:
         """True when every source register is readable at ``now``."""
-        pending = self._pending[warp_id]
-        if not pending:
-            return True
-        for register in sources:
-            ready_at = pending.get(register)
-            if ready_at is not None and ready_at > now:
-                return False
-        return True
+        return self.earliest_ready(warp_id, sources) <= now
 
     def set_pending(
         self, warp_id: int, destinations: Iterable[int], ready_at: float

@@ -16,11 +16,22 @@ Timing emerges from three mechanisms only:
 
 There are no per-kernel fudge factors; the three GEMM flavours differ only
 in the instruction traces they feed in.
+
+A cycle in which no scheduler issues changes no state. Policy order moves
+only on an issue, barriers release only after one, and the scoreboard, the
+resources' bookings and the systolic units change only when an instruction
+issues; such a cycle moves nothing but ``now``. So :meth:`run` jumps from it
+to the earliest cycle at which a comparison against ``now`` can flip — a
+warp's ``blocked_until`` or head-ready time, a resource's admission edge, a
+systolic unit freeing — and counts each stalled scheduler's reason once per
+cycle it skipped. Its result equals the cycle-by-cycle loop's, counter and
+stall order included.
 """
 
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -63,6 +74,14 @@ class LsmaEngine(abc.ABC):
         """Cycle at which every systolic unit has drained."""
 
     @abc.abstractmethod
+    def next_free(self, now: float) -> float:
+        """Earliest cycle after ``now`` at which a busy unit frees.
+
+        ``inf`` when no unit is busy. Until then :meth:`issue` refuses
+        exactly what it refuses at ``now``.
+        """
+
+    @abc.abstractmethod
     def reset(self) -> None:
         """Clear busy state between kernels."""
 
@@ -93,6 +112,15 @@ class ThroughputResource:
         backlog = max(0.0, self.free_at - now)
         return backlog <= self.queue_depth
 
+    def admits_from(self) -> float:
+        """The cycle from which :meth:`can_accept` admits a positive cost.
+
+        With a whole-cycle ``queue_depth``, every whole cycle below it is
+        refused, so its floor is never later than the first whole cycle
+        that admits.
+        """
+        return self.free_at - self.queue_depth
+
     def accept(self, now: float, cost: float) -> float:
         """Book the work; returns its completion cycle."""
         start = max(self.free_at, now)
@@ -119,6 +147,11 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if not self.programs:
             raise SimulationError("kernel needs at least one warp program")
+        for warp_id, program in enumerate(self.programs):
+            if not program.instructions:
+                raise SimulationError(
+                    f"warp {warp_id} ({program.name!r}) has no instructions"
+                )
         for group_id, members in self.groups.items():
             for warp_id in members:
                 if not (0 <= warp_id < len(self.programs)):
@@ -156,7 +189,12 @@ class SmResult:
 
 
 class _IssueRecord(NamedTuple):
-    """What issuing one instruction books and counts, built once per run."""
+    """What issuing one instruction books and counts.
+
+    Built once per run for each distinct ``(opcode, mem, len(srcs),
+    len(dst))``, everything :meth:`StreamingMultiprocessor._issue_record`
+    reads.
+    """
 
     unit: str | None             # structural unit booked; None when none is
     unit_cost: float             # cycles of that unit's service
@@ -183,6 +221,12 @@ class _WarpState:
     done: bool = False
     waiting_barrier: tuple[int, int] | None = None  # (group, instance)
     barrier_counts: dict[int, int] = field(default_factory=dict)
+    # When the head instruction's sources are all readable. Only this
+    # warp's own issues move its scoreboard entries or its head, so it is
+    # computed once per issue.
+    head_ready: float = 0.0
+    # The head instruction's issue record, set on its first attempt.
+    record: _IssueRecord | None = None
 
 
 class StreamingMultiprocessor:
@@ -278,8 +322,9 @@ class StreamingMultiprocessor:
                 f"{num_warps} warps exceed the SM limit "
                 f"{self.config.max_warps_per_sm}"
             )
-        if kernel.lsma_engine is not None:
-            kernel.lsma_engine.reset()
+        engine = kernel.lsma_engine
+        if engine is not None:
+            engine.reset()
 
         resources = self._build_resources()
         regfile = RegisterFileModel(self.config, self.collector_efficiency)
@@ -287,15 +332,17 @@ class StreamingMultiprocessor:
         rf_write = ThroughputResource("rf_write")
         read_cost = 1.0 / regfile.read_capacity
         write_cost = 1.0 / regfile.write_capacity
+        # Every resource whose admission edge a stalled issue can wait on.
+        units = (*resources.values(), rf_read, rf_write)
 
         scoreboard = Scoreboard(num_warps)
         counters = CounterBag()
         stalls = CounterBag()
         warps = [_WarpState() for _ in range(num_warps)]
         traces = [program.instructions for program in kernel.programs]
-        # Issue records by instruction object: built on the first issue
-        # attempt, reused by every later attempt at that object.
-        records: dict[int, _IssueRecord] = {}
+        # Issue records by everything _issue_record reads, so equal
+        # instructions share one record whichever warp or object holds them.
+        records: dict[tuple, _IssueRecord] = {}
         num_schedulers = self.config.schedulers_per_sm
         policies: list[SchedulerPolicy] = [
             make_scheduler(kernel.scheduler) for _ in range(num_schedulers)
@@ -304,6 +351,8 @@ class StreamingMultiprocessor:
         group_sizes = {gid: len(members) for gid, members in kernel.groups.items()}
         group_sizes[self.TB_GROUP] = num_warps
         waiting_count = 0
+        # The first cycle past max_cycles: no skip jumps beyond it.
+        limit = math.floor(self.max_cycles) + 1.0
 
         now = 0.0
         done_count = 0
@@ -341,6 +390,8 @@ class StreamingMultiprocessor:
                     )
                 )
 
+            issued_any = False
+            stalled: list[str] = []
             for scheduler_id, policy in enumerate(policies):
                 candidates = [
                     warp_id
@@ -355,22 +406,27 @@ class StreamingMultiprocessor:
                 blocked_reason = "stall_scoreboard"
                 for warp_id in policy.order(candidates):
                     state = warps[warp_id]
-                    inst = traces[warp_id][state.pc]
-                    if not scoreboard.ready(warp_id, inst.srcs, now):
+                    if state.head_ready > now:
                         blocked_reason = "stall_scoreboard"
                         continue
-                    record = records.get(id(inst))
+                    trace = traces[warp_id]
+                    inst = trace[state.pc]
+                    record = state.record
                     if record is None:
-                        record = records[id(inst)] = self._issue_record(inst)
+                        key = (inst.opcode, inst.mem, len(inst.srcs), len(inst.dst))
+                        record = records.get(key)
+                        if record is None:
+                            record = records[key] = self._issue_record(inst)
+                        state.record = record
                     unit_name, unit_cost, latency, reads, writes, events = record
                     opcode = inst.opcode
                     if opcode is Opcode.LSMA:
-                        if kernel.lsma_engine is None:
+                        if engine is None:
                             raise SimulationError(
                                 "trace contains LSMA but no engine is attached"
                             )
                         k_extent, unit_id = inst.payload
-                        outcome = kernel.lsma_engine.issue(unit_id, k_extent, now)
+                        outcome = engine.issue(unit_id, k_extent, now)
                         if not outcome.accepted:
                             blocked_reason = "stall_sma_busy"
                             continue
@@ -420,26 +476,40 @@ class StreamingMultiprocessor:
                             (group_id, instance), set()
                         ).add(warp_id)
                     elif opcode is Opcode.SMAWAIT:
-                        if kernel.lsma_engine is None:
+                        if engine is None:
                             raise SimulationError(
                                 "trace contains SMAWAIT but no engine is attached"
                             )
-                        state.blocked_until = max(
-                            now + 1.0, kernel.lsma_engine.idle_at(now)
-                        )
+                        state.blocked_until = max(now + 1.0, engine.idle_at(now))
                     state.pc += 1
-                    if opcode is Opcode.EXIT or state.pc >= len(traces[warp_id]):
+                    if opcode is Opcode.EXIT or state.pc >= len(trace):
                         state.done = True
                         done_count += 1
+                    else:
+                        state.record = None
+                        state.head_ready = scoreboard.earliest_ready(
+                            warp_id, trace[state.pc].srcs
+                        )
                     policy.notify_issued(warp_id)
                     issued = True
                     break
-                if not issued:
-                    stalls.add(blocked_reason)
-            now += 1.0
+                if issued:
+                    issued_any = True
+                else:
+                    stalled.append(blocked_reason)
+            step = 1.0
+            if not issued_any:
+                step = max(
+                    1.0,
+                    math.floor(self._wake(now, warps, units, engine, limit)) - now,
+                )
+            # A skipped cycle repeats this one's stalls.
+            for reason in stalled:
+                stalls.add(reason, step)
+            now += step
 
-        if kernel.lsma_engine is not None:
-            now = max(now, kernel.lsma_engine.idle_at(now))
+        if engine is not None:
+            now = max(now, engine.idle_at(now))
 
         counters.add("cycles", now)
         counters.add("rf_reads", regfile.total_reads)
@@ -449,3 +519,34 @@ class StreamingMultiprocessor:
         counters.add("busy_rf_read", rf_read.busy_cycles)
         counters.add("busy_rf_write", rf_write.busy_cycles)
         return SmResult(cycles=now, counters=counters, stalls=stalls, name=kernel.name)
+
+    @staticmethod
+    def _wake(
+        now: float,
+        warps: list[_WarpState],
+        units: tuple[ThroughputResource, ...],
+        engine: LsmaEngine | None,
+        limit: float,
+    ) -> float:
+        """Earliest time after ``now`` at which a comparison against the
+        cycle can flip, at most ``limit``.
+
+        Called after a cycle in which nothing issued, so nothing but the
+        cycle moves until then: a candidate set, a scoreboard check, an
+        admission or a systolic unit's refusal.
+        """
+        wake = limit
+        for state in warps:
+            if state.done or state.waiting_barrier is not None:
+                continue
+            if now < state.blocked_until < wake:
+                wake = state.blocked_until
+            if now < state.head_ready < wake:
+                wake = state.head_ready
+        for unit in units:
+            edge = unit.admits_from()
+            if now < edge < wake:
+                wake = edge
+        if engine is not None:
+            wake = min(wake, engine.next_free(now))
+        return wake

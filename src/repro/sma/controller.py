@@ -16,6 +16,8 @@ the stream and stealing LSU cycles from the double-buffer loads.
 
 from __future__ import annotations
 
+import math
+
 from functools import lru_cache
 
 from repro.common.stats import CounterBag
@@ -131,6 +133,11 @@ class SystolicControllerModel(LsmaEngine):
 
     def idle_at(self, now: float) -> float:
         return max([now] + self._busy_until)
+
+    def next_free(self, now: float) -> float:
+        return min(
+            (busy for busy in self._busy_until if busy > now), default=math.inf
+        )
 
     def reset(self) -> None:
         self._busy_until = [0.0] * self.config.units_per_sm

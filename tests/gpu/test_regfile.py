@@ -1,4 +1,4 @@
-"""Register-file port-budget tests."""
+"""Register-file port-capacity tests."""
 
 import pytest
 
@@ -12,37 +12,6 @@ class TestRegisterFileModel:
         rf = RegisterFileModel(GpuConfig(), collector_efficiency=0.75)
         assert rf.read_capacity == pytest.approx(6.0)
         assert rf.write_capacity == pytest.approx(3.0)
-
-    def test_reserve_within_budget(self):
-        rf = RegisterFileModel(GpuConfig(), collector_efficiency=1.0)
-        rf.new_cycle()
-        assert rf.try_reserve(reads=8, writes=4)
-        assert rf.total_reads == 8
-
-    def test_reserve_over_budget_fails(self):
-        rf = RegisterFileModel(GpuConfig(), collector_efficiency=0.75)
-        rf.new_cycle()
-        assert rf.try_reserve(reads=6, writes=0)
-        assert not rf.try_reserve(reads=1, writes=0)
-
-    def test_budget_resets_each_cycle(self):
-        rf = RegisterFileModel(GpuConfig(), collector_efficiency=0.75)
-        rf.new_cycle()
-        assert rf.try_reserve(reads=6, writes=0)
-        rf.new_cycle()
-        assert rf.try_reserve(reads=6, writes=0)
-
-    def test_write_budget_enforced(self):
-        rf = RegisterFileModel(GpuConfig(), collector_efficiency=0.75)
-        rf.new_cycle()
-        assert rf.try_reserve(reads=0, writes=3)
-        assert not rf.try_reserve(reads=0, writes=1)
-
-    def test_negative_counts_rejected(self):
-        rf = RegisterFileModel(GpuConfig())
-        rf.new_cycle()
-        with pytest.raises(SimulationError):
-            rf.try_reserve(reads=-1, writes=0)
 
     def test_bad_efficiency_rejected(self):
         with pytest.raises(SimulationError):

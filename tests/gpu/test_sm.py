@@ -1,6 +1,7 @@
 """SM pipeline tests with hand-built micro-traces."""
 
 import dataclasses
+import math
 import re
 
 import pytest
@@ -48,6 +49,13 @@ class TestThroughputResource:
         res.accept(0.0, 3.0)
         assert not res.can_accept(0.0, 1.0)
         assert res.can_accept(3.0, 1.0)
+
+    def test_admits_from_the_queue_edge(self):
+        res = ThroughputResource("x", queue_depth=2.0)
+        res.accept(0.0, 3.0)
+        assert res.admits_from() == 1.0
+        assert not res.can_accept(0.0, 1.0)
+        assert res.can_accept(1.0, 1.0)
 
     def test_utilization(self):
         res = ThroughputResource("x")
@@ -131,6 +139,26 @@ class TestBasicExecution:
                 name="bad", programs=[program], groups={0: frozenset({3})}
             )
 
+    def test_empty_warp_program_rejected(self):
+        program = ProgramBuilder("x").exit().build()
+        with pytest.raises(
+            SimulationError, match=r"warp 1 \('idle'\) has no instructions"
+        ):
+            KernelSpec(name="empty", programs=[program, WarpProgram("idle")])
+
+
+class TestCycleLimit:
+    def test_skipped_wait_still_stops_at_max_cycles(self):
+        # The FFMA waits 400 cycles on the load: one skip, clamped so the
+        # limit still raises.
+        builder = ProgramBuilder("slow")
+        builder.ldg(2, coalesced_access(MemSpace.GLOBAL, 0), 1)
+        builder.ffma(3, 2, 2, 3)
+        builder.exit()
+        sm = StreamingMultiprocessor(GpuConfig(), max_cycles=50)
+        with pytest.raises(SimulationError, match="exceeded 50 cycles"):
+            sm.run(_single_warp(builder.build()))
+
 
 class _StubEngine(LsmaEngine):
     """Accepts every LSMA with a fixed 10-cycle occupancy."""
@@ -152,6 +180,9 @@ class _StubEngine(LsmaEngine):
 
     def idle_at(self, now):
         return max(now, self.busy_until)
+
+    def next_free(self, now):
+        return self.busy_until if self.busy_until > now else math.inf
 
     def reset(self):
         self.busy_until = 0.0
@@ -309,8 +340,8 @@ def _objects(kernel):
 
 
 class TestSharedInstructions:
-    # Issue records are keyed by instruction object, so a kernel must
-    # simulate the same whether equal instructions share one object or not.
+    # Issue records are keyed by value, so a kernel must simulate the same
+    # whether equal instructions share one object or not.
     @pytest.mark.parametrize("name", list(_SHARING_KERNELS))
     def test_shared_and_fresh_equal_copies_simulate_identically(self, sm, name):
         shared = _shared(_SHARING_KERNELS[name]())

@@ -1,5 +1,7 @@
 """Systolic controller (LsmaEngine) timing tests."""
 
+import math
+
 import pytest
 
 from repro.config import DataType, SmaConfig
@@ -76,6 +78,16 @@ class TestDrainAndDataflow:
         outcome = controller.issue(0, 128, now=0.0)
         assert controller.idle_at(0.0) == outcome.busy_until
         assert controller.idle_at(outcome.busy_until + 1) == outcome.busy_until + 1
+
+    def test_next_free_is_the_earliest_busy_unit(self, controller):
+        assert controller.next_free(0.0) == math.inf
+        long = controller.issue(0, 128, now=0.0).busy_until
+        short = controller.issue(1, 16, now=0.0).busy_until
+        assert short < long
+        assert controller.next_free(0.0) == short
+        assert not controller.issue(1, 16, now=short - 1.0).accepted
+        assert controller.next_free(short) == long
+        assert controller.next_free(long) == math.inf
 
     def test_reset_clears(self, controller):
         controller.issue(0, 128, now=0.0)
