@@ -788,11 +788,9 @@ def _cmd_cluster_serve(args) -> int:
     from repro.cluster import ClusterServer, serve_stdio
 
     if args.stdio:
-        serve_stdio(jobs=args.jobs, cache_path=args.cache)
+        serve_stdio(jobs=args.jobs)
         return 0
-    server = ClusterServer(
-        host=args.host, port=args.port, jobs=args.jobs, cache_path=args.cache
-    )
+    server = ClusterServer(host=args.host, port=args.port, jobs=args.jobs)
     host, port = server.start()
     print(
         f"cluster server listening on {host}:{port}"
@@ -1383,10 +1381,6 @@ def main(argv: list[str] | None = None) -> int:
     cserve_parser.add_argument(
         "-j", "--jobs", type=int, default=1,
         help="worker processes in the warm pool",
-    )
-    cserve_parser.add_argument(
-        "--cache", default=None, metavar="PATH",
-        help="pre-warm the pool cache from a saved TimingCache file",
     )
     cserve_parser.add_argument(
         "--stdio", action="store_true",

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from pathlib import Path
-
 from repro.api.registry import build_model, build_platform, gemm_config
 from repro.api.results import (
     BatchResult,
@@ -65,12 +63,6 @@ class Session:
         The :class:`TimingCache` shared by everything this session builds.
         Defaults to the process-wide cache, so independent sessions pool
         results; pass a fresh ``TimingCache()`` for isolation.
-    cache_path:
-        Optional on-disk cache file. When it exists its entries are merged
-        into the cache at construction (fresh processes start warm), and
-        the cache is written back by :meth:`close` (or leaving a
-        ``with Session(...)`` block) and after every :meth:`run_sweep`
-        join.
     cluster:
         One or more ``"host:port"`` cluster-server addresses. When set,
         :meth:`run_sweep` dispatches through
@@ -96,15 +88,11 @@ class Session:
     def __init__(
         self,
         cache: TimingCache | None = None,
-        cache_path: "str | Path | None" = None,
         cluster: "str | Sequence[str] | None" = None,
         cluster_timeout_s: float | None = None,
         metrics=None,
     ) -> None:
         self.cache = cache if cache is not None else process_cache()
-        self.cache_path = Path(cache_path) if cache_path is not None else None
-        if self.cache_path is not None and self.cache_path.exists():
-            self.cache.load(self.cache_path)
         if cluster is None:
             self.cluster: tuple[str, ...] = ()
         elif isinstance(cluster, str):
@@ -525,7 +513,7 @@ class Session:
         if self.cluster:
             from repro.cluster.dispatch import run_sweep_remote
 
-            result = run_sweep_remote(
+            return run_sweep_remote(
                 spec,
                 self.cluster,
                 store=store,
@@ -533,35 +521,11 @@ class Session:
                 session=self,
                 **self._cluster_kwargs(),
             )
-        else:
-            from repro.sweep.workers import run_sweep
+        from repro.sweep.workers import run_sweep
 
-            result = run_sweep(
-                spec, jobs=jobs, store=store, resume=resume, session=self
-            )
-        if self.cache_path is not None:
-            # Worker caches were merged on join; persist so the next
-            # process starts warm (ROADMAP PR-2 follow-up).
-            self.cache.save(self.cache_path)
-        return result
-
-    # -- cache persistence / lifecycle -------------------------------------------------
-    def save_cache(self) -> int:
-        """Write the cache to ``cache_path`` now; returns entries saved."""
-        if self.cache_path is None:
-            raise ConfigError("session has no cache_path to save to")
-        return self.cache.save(self.cache_path)
-
-    def close(self) -> None:
-        """Persist the cache (when ``cache_path`` is set); idempotent."""
-        if self.cache_path is not None:
-            self.cache.save(self.cache_path)
-
-    def __enter__(self) -> "Session":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        return run_sweep(
+            spec, jobs=jobs, store=store, resume=resume, session=self
+        )
 
     # -- cache introspection -----------------------------------------------------------
     @property

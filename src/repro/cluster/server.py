@@ -45,8 +45,8 @@ class ClusterServer:
     """A long-lived simulation service over one warm pool.
 
     ``port=0`` binds an ephemeral port (tests); :meth:`start` returns the
-    bound ``(host, port)``. ``cache_path`` pre-warms the pool cache from
-    a :meth:`~repro.gemm.cache.TimingCache.save` file when it exists.
+    bound ``(host, port)``. The pool cache starts as ``cache`` (empty by
+    default) and lives as long as the server.
     """
 
     def __init__(
@@ -55,16 +55,10 @@ class ClusterServer:
         port: int = 0,
         jobs: int = 1,
         cache: TimingCache | None = None,
-        cache_path=None,
     ) -> None:
         self.host = host
         self.port = port
         self.pool = WarmPool(jobs=jobs, cache=cache)
-        if cache_path is not None:
-            from pathlib import Path
-
-            if Path(cache_path).exists():
-                self.pool.cache.load(cache_path)
         self.state = "serving"
         self._tcp: _TcpServer | None = None
         self._thread: threading.Thread | None = None
@@ -295,13 +289,11 @@ class ClusterServer:
         }
 
 
-def serve_stdio(
-    jobs: int = 1, cache_path=None, stdin=None, stdout=None
-) -> None:
+def serve_stdio(jobs: int = 1, stdin=None, stdout=None) -> None:
     """Serve the protocol over stdin/stdout (single-peer transport)."""
     import sys
 
-    server = ClusterServer(jobs=jobs, cache_path=cache_path)
+    server = ClusterServer(jobs=jobs)
     rfile = stdin if stdin is not None else sys.stdin.buffer
     wfile = stdout if stdout is not None else sys.stdout.buffer
     try:

@@ -107,20 +107,6 @@ class GpuConfig:
     def shared_memory_bandwidth_bytes_per_cycle(self) -> int:
         return self.shared_memory_banks * self.shared_memory_bank_bytes
 
-    @property
-    def register_read_bandwidth_bytes_per_cycle(self) -> int:
-        """Aggregate RF read bandwidth per SM per cycle.
-
-        Volta's RF is banked; each bank delivers one 128 B warp-wide operand
-        per cycle. Half of the banks are modelled as read ports in a given
-        cycle, matching the dual-ported operand-collector organisation.
-        """
-        return self.register_file_banks * self.register_bank_width_bytes // 2
-
-    @property
-    def register_write_bandwidth_bytes_per_cycle(self) -> int:
-        return self.register_file_banks * self.register_bank_width_bytes // 4
-
 
 @dataclass(frozen=True)
 class SmaConfig:

@@ -13,19 +13,21 @@ Keys embed the frozen :class:`~repro.config.SystemConfig` and
 so two configurations share an entry exactly when every timing-relevant
 field matches — including the ``alpha``/``beta`` epilogue scalars, which
 change DRAM traffic and therefore must never collide.
+
+A cache lives only in the process that fills it. An entry is valid only
+for the simulator that produced it, so nothing is written to disk;
+entries leave a process only as a :class:`CacheEntries` snapshot, to the
+sweep or cluster process that asked for the work.
 """
 
 from __future__ import annotations
 
-import pickle
 import threading
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable
 
 from repro.common.codec import Codec
 from repro.config import DataType, SystemConfig
-from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # imported only for annotations; avoids import cycles
     from repro.gemm.executor import GemmTiming
@@ -91,9 +93,9 @@ class CacheEntries:
 
     Every value is a frozen dataclass of primitives (``GemmTiming``,
     ``SmResult``) and every key a tuple of hashable config values, so a
-    snapshot can cross a process boundary — sweep workers export their
-    private caches this way and the parent folds them back in with
-    :meth:`TimingCache.merge`.
+    snapshot can cross a process boundary — sweep workers and cluster
+    servers export their new entries this way and the receiver folds
+    them in with :meth:`TimingCache.merge`.
     """
 
     timings: dict[TimingKey, "GemmTiming"]
@@ -154,20 +156,9 @@ class TimingCache:
         scheduler: str,
         dataflow: "Dataflow",
         problem: "GemmProblem",
-        sample_window: tuple[int, int],
-        collector_efficiency: float,
     ) -> TimingKey:
-        """Key of one timed GEMM; the frozen problem carries alpha/beta.
-
-        ``sample_window`` (extrapolation anchors) and
-        ``collector_efficiency`` (SM operand-collector model) are executor
-        knobs that change the result, so they are part of the key —
-        executors differing only in those must not collide.
-        """
-        return (
-            system, backend, scheduler, dataflow, problem, sample_window,
-            collector_efficiency,
-        )
+        """Key of one timed GEMM; the frozen problem carries alpha/beta."""
+        return (system, backend, scheduler, dataflow, problem)
 
     @staticmethod
     def window_key(
@@ -177,12 +168,8 @@ class TimingCache:
         dataflow: "Dataflow",
         dtype: DataType,
         iterations: int,
-        collector_efficiency: float,
     ) -> WindowKey:
-        return (
-            system, backend, scheduler, dataflow, dtype, iterations,
-            collector_efficiency,
-        )
+        return (system, backend, scheduler, dataflow, dtype, iterations)
 
     # -- timings -----------------------------------------------------------------------
     def peek_timing(self, key: TimingKey) -> "GemmTiming | None":
@@ -259,51 +246,6 @@ class TimingCache:
             self._window_misses += entries.stats.window_misses
             return added
 
-    # -- persistence (fresh processes start warm) --------------------------------------
-    def save(self, path: str | Path) -> int:
-        """Pickle every entry to ``path``; returns the entry count.
-
-        The payload is the same :class:`CacheEntries` snapshot sweep
-        workers ship across process boundaries, so a saved file is a
-        portable warm-start for any later process.
-        """
-        entries = self.export_entries()
-        path = Path(path)
-        try:
-            with open(path, "wb") as handle:
-                pickle.dump(entries, handle)
-        except OSError as error:
-            raise ConfigError(
-                f"cannot save timing cache to {path}: {error}"
-            ) from None
-        return len(entries)
-
-    def load(self, path: str | Path) -> int:
-        """Merge entries pickled by :meth:`save`; returns entries added.
-
-        The file's hit/miss counters are discarded — they describe the
-        process that wrote the file, and this process's statistics should
-        count only its own lookups against the pre-warmed entries.
-        """
-        path = Path(path)
-        try:
-            with open(path, "rb") as handle:
-                entries = pickle.load(handle)
-        except OSError as error:
-            raise ConfigError(
-                f"cannot load timing cache from {path}: {error}"
-            ) from None
-        except (pickle.UnpicklingError, EOFError, AttributeError) as error:
-            raise ConfigError(
-                f"corrupt timing-cache file {path}: {error}"
-            ) from None
-        if not isinstance(entries, CacheEntries):
-            raise ConfigError(
-                f"timing-cache file {path} holds"
-                f" {type(entries).__name__}, expected CacheEntries"
-            )
-        return self.merge(replace(entries, stats=CacheStats()))
-
     # -- introspection -----------------------------------------------------------------
     def stats(self) -> CacheStats:
         with self._lock:
@@ -339,25 +281,6 @@ class TimingCache:
             self._windows.clear()
             self._hits = self._misses = 0
             self._window_hits = self._window_misses = 0
-
-    # -- pickling (the lock itself cannot cross a process boundary) --------------------
-    def __getstate__(self) -> dict:
-        with self._lock:
-            return {
-                "timings": dict(self._timings),
-                "windows": dict(self._windows),
-                "counters": (
-                    self._hits, self._misses,
-                    self._window_hits, self._window_misses,
-                ),
-            }
-
-    def __setstate__(self, state: dict) -> None:
-        self._lock = threading.Lock()
-        self._timings = state["timings"]
-        self._windows = state["windows"]
-        (self._hits, self._misses,
-         self._window_hits, self._window_misses) = state["counters"]
 
     def __len__(self) -> int:
         with self._lock:

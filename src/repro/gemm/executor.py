@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from repro.common.stats import CounterBag
 from repro.config import DataType, SystemConfig
-from repro.errors import MappingError
+from repro.errors import MappingError, SimulationError
 from repro.gemm.cache import TimingCache
 from repro.gemm.problem import GemmProblem
 from repro.gemm.tiling import TilingPlan, plan_gemm
@@ -29,6 +29,13 @@ from repro.sma.mapping import SmaGemmMapper
 from repro.systolic.dataflow import Dataflow
 
 BACKENDS = ("simd", "tc", "sma")
+
+#: K-loop iteration counts of the two sample windows that anchor the linear
+#: extrapolation of a thread block's cycles.
+SAMPLE_WINDOW = (2, 4)
+
+#: Operand-collector efficiency of the simulated SM's register file.
+COLLECTOR_EFFICIENCY = 0.95
 
 
 @dataclass(frozen=True)
@@ -85,8 +92,6 @@ class GemmExecutor:
         backend: str,
         dataflow: Dataflow = Dataflow.SEMI_BROADCAST_WS,
         scheduler: str | None = None,
-        sample_window: tuple[int, int] = (2, 4),
-        collector_efficiency: float = 0.95,
         cache: TimingCache | None = None,
     ) -> None:
         if backend not in BACKENDS:
@@ -99,10 +104,8 @@ class GemmExecutor:
         self.backend = backend
         self.dataflow = dataflow
         self.scheduler = scheduler or ("sma_rr" if backend == "sma" else "gto")
-        self.sample_window = sample_window
-        self.collector_efficiency = collector_efficiency
         self.sm = StreamingMultiprocessor(
-            system.gpu, collector_efficiency=collector_efficiency
+            system.gpu, collector_efficiency=COLLECTOR_EFFICIENCY
         )
         self.timing_model = GpuTimingModel(system.gpu)
         # Timings and window traces live in a TimingCache so they can be
@@ -182,7 +185,7 @@ class GemmExecutor:
         """
         key = TimingCache.window_key(
             self.system, self.backend, self.scheduler, self.dataflow,
-            plan.problem.dtype, iterations, self.collector_efficiency,
+            plan.problem.dtype, iterations,
         )
         result = self.cache.get_window(key)
         if result is None:
@@ -197,8 +200,7 @@ class GemmExecutor:
     def cache_key(self, problem: GemmProblem) -> tuple:
         """The shared-cache key this executor uses for ``problem``."""
         return TimingCache.timing_key(
-            self.system, self.backend, self.scheduler, self.dataflow,
-            problem, self.sample_window, self.collector_efficiency,
+            self.system, self.backend, self.scheduler, self.dataflow, problem
         )
 
     def time_gemm(self, problem: GemmProblem) -> GemmTiming:
@@ -215,7 +217,7 @@ class GemmExecutor:
 
         plan = self.plan(problem)
         iterations = plan.k_iterations
-        lo_n, hi_n = self.sample_window
+        lo_n, hi_n = SAMPLE_WINDOW
         if iterations <= hi_n:
             result = self._window(plan, iterations)
             tb_cycles, tb_counters = result.cycles, result.counters
@@ -248,14 +250,20 @@ class GemmExecutor:
         sm_efficiency = (
             2.0 * macs_per_tb / (tb_cycles * peak_per_sm) if tb_cycles > 0 else 0.0
         )
+        if efficiency > 1.0 or sm_efficiency > 1.0:
+            raise SimulationError(
+                f"{self.backend} backend on {self.system.name!r} beats its peak"
+                f" on {problem}: efficiency {efficiency:.6g},"
+                f" SM efficiency {sm_efficiency:.6g}"
+            )
         timing = GemmTiming(
             problem=problem,
             backend=self.backend,
             tb_cycles=tb_cycles,
             cycles=launch.cycles,
             seconds=seconds,
-            efficiency=min(1.0, efficiency),
-            sm_efficiency=min(1.0, sm_efficiency),
+            efficiency=efficiency,
+            sm_efficiency=sm_efficiency,
             counters=launch.counters,
             launch=launch,
         )

@@ -40,13 +40,3 @@ class Scoreboard:
             if ready_at is not None:
                 latest = max(latest, ready_at)
         return latest
-
-    def prune(self, warp_id: int, now: float) -> None:
-        """Drop entries already ready (keeps the dicts small)."""
-        pending = self._pending[warp_id]
-        stale = [reg for reg, ready_at in pending.items() if ready_at <= now]
-        for reg in stale:
-            del pending[reg]
-
-    def outstanding(self, warp_id: int) -> int:
-        return len(self._pending[warp_id])

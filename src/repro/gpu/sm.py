@@ -173,20 +173,6 @@ class SmResult:
     stalls: CounterBag
     name: str = ""
 
-    def flops(self) -> float:
-        """FLOPs executed (FMA counts as two)."""
-        return 2.0 * (
-            self.counters.get("fp32_macs")
-            + self.counters.get("fp16_macs")
-            + self.counters.get("sma_macs")
-        )
-
-    def flop_efficiency(self, peak_flops_per_cycle: float) -> float:
-        """Achieved / peak FLOPs for this thread block's residency."""
-        if self.cycles <= 0 or peak_flops_per_cycle <= 0:
-            return 0.0
-        return self.flops() / (self.cycles * peak_flops_per_cycle)
-
 
 class _IssueRecord(NamedTuple):
     """What issuing one instruction books and counts.

@@ -144,9 +144,6 @@ class SystolicControllerModel(LsmaEngine):
         self.lsma_count = 0
 
     # -- introspection ---------------------------------------------------------------
-    def unit_busy(self, unit_id: int, now: float) -> bool:
-        return self._busy_until[unit_id] > now
-
     @property
     def storage_bytes(self) -> int:
         """Controller latch storage (paper: 8x8B Ain + 24x8B Cout = 256 B)."""

@@ -46,10 +46,6 @@ class SmaKernelShape:
     rounds: int             # sequential LSMA rounds per unit per iteration
 
     @property
-    def lsma_per_iteration(self) -> int:
-        return self.subtiles
-
-    @property
     def round_utilization(self) -> float:
         """Fraction of unit-round slots doing useful work."""
         return self.subtiles / float(self.rounds * self.units)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from golden_cases import CASES, GOLDENS, HANDWRITTEN
+from tests.api.golden_cases import CASES, GOLDENS, HANDWRITTEN
 from repro.__main__ import main
 from repro.api.results import SimRequest, report_from_dict
 from repro.errors import ConfigError

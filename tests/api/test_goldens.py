@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from golden_cases import CASES, GOLDENS, HANDWRITTEN, dumps
+from tests.api.golden_cases import CASES, GOLDENS, HANDWRITTEN, dumps
 
 INSTANCES = {name: build() for name, build in CASES.items()}
 CLASSES = {name: type(instance) for name, instance in INSTANCES.items()}

@@ -105,21 +105,6 @@ class TestSharedCache:
         assert not three.cached
         assert three.seconds != two.seconds
 
-    def test_executor_knobs_do_not_collide(self):
-        """sample_window / collector_efficiency are part of the key."""
-        from repro.config import system_sma
-        from repro.gemm.executor import GemmExecutor
-
-        cache = TimingCache()
-        default = GemmExecutor(system_sma(2), "sma", cache=cache)
-        tweaked = GemmExecutor(
-            system_sma(2), "sma", cache=cache, collector_efficiency=0.5
-        )
-        first = default.time_gemm(SMALL)
-        second = tweaked.time_gemm(SMALL)
-        assert second is not first
-        assert cache.stats().misses == 2
-
 
 class TestRunModel:
     def test_report_addresses(self, session):
@@ -227,57 +212,6 @@ class TestSimRequestValidation:
     def test_kind(self):
         assert SimRequest(platform="sma:2", model="alexnet").kind == "model"
         assert SimRequest(platform="sma:2", gemm=SMALL).kind == "gemm"
-
-
-class TestCachePersistence:
-    def test_save_and_warm_start(self, tmp_path):
-        from repro.api import ScenarioSpec, StreamSpec  # noqa: F401
-
-        path = tmp_path / "timings.pkl"
-        with Session(cache=TimingCache(), cache_path=path) as warmup:
-            warmup.time_gemm("sma:2", 256)
-            entries_before = len(warmup.cache.export_entries())
-        assert path.exists()
-
-        # A fresh process (simulated by a fresh cache) starts warm: the
-        # same GEMM is a pure cache hit, zero new window simulations.
-        fresh = Session(cache=TimingCache(), cache_path=path)
-        assert len(fresh.cache.export_entries()) == entries_before
-        baseline = fresh.cache_stats
-        fresh.time_gemm("sma:2", 256)
-        delta = fresh.cache_stats.since(baseline)
-        assert delta.hits == 1
-        assert delta.misses == 0
-        assert delta.window_misses == 0
-
-    def test_loaded_counters_not_inherited(self, tmp_path):
-        path = tmp_path / "timings.pkl"
-        session = Session(cache=TimingCache(), cache_path=path)
-        session.time_gemm("sma:2", 128)
-        session.close()
-        fresh = Session(cache=TimingCache(), cache_path=path)
-        stats = fresh.cache_stats
-        assert stats.hits == 0 and stats.misses == 0
-
-    def test_save_cache_requires_path(self):
-        with pytest.raises(ConfigError):
-            Session(cache=TimingCache()).save_cache()
-
-    def test_run_sweep_persists(self, tmp_path):
-        from repro.sweep import SweepSpec
-
-        path = tmp_path / "sweep-cache.pkl"
-        session = Session(cache=TimingCache(), cache_path=path)
-        session.run_sweep(SweepSpec(platforms=("sma:2",), gemms=(128,)))
-        assert path.exists()
-        fresh = Session(cache=TimingCache(), cache_path=path)
-        assert len(fresh.cache.export_entries()) > 0
-
-    def test_corrupt_cache_file(self, tmp_path):
-        path = tmp_path / "garbage.pkl"
-        path.write_bytes(b"not a pickle")
-        with pytest.raises(ConfigError):
-            Session(cache=TimingCache(), cache_path=path)
 
 
 class TestRunScenarioErrors:

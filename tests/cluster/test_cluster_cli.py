@@ -56,6 +56,13 @@ class TestStatusAndLifecycle:
         assert code == 2
         assert "host:port" in captured.err
 
+    def test_serve_has_no_cache_file(self, capsys):
+        """The pool cache lives only in the server process."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cluster", "serve", "--port", "0", "--cache", "timings.pkl"])
+        assert excinfo.value.code == 2
+        assert "--cache" in capsys.readouterr().err
+
 
 class TestClusterSweep:
     def test_sweep_against_server_matches_local(

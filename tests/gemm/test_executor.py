@@ -3,7 +3,8 @@
 import pytest
 
 from repro.config import DataType, system_gpu_simd, system_sma
-from repro.errors import MappingError
+from repro.errors import MappingError, SimulationError
+from repro.gemm.cache import TimingCache
 from repro.gemm.executor import GemmExecutor
 from repro.gemm.problem import GemmProblem
 
@@ -93,3 +94,22 @@ class TestScaling:
 
     def test_tflops_positive(self, sma2_executor, big_fp16):
         assert sma2_executor.time_gemm(big_fp16).tflops > 0
+
+
+class TestPeakGuard:
+    def test_beating_the_peak_is_a_simulation_error(self):
+        """An efficiency above 1 is a model bug, raised rather than clamped."""
+
+        class TinyPeak(GemmExecutor):
+            def peak_flops_per_cycle_per_sm(self) -> float:
+                return 1e-3
+
+        executor = TinyPeak(system_sma(2), "sma", cache=TimingCache())
+        problem = GemmProblem(256, 256, 256, dtype=DataType.FP16)
+        with pytest.raises(
+            SimulationError, match=r": efficiency \S+, SM efficiency \S+$"
+        ) as excinfo:
+            executor.time_gemm(problem)
+        assert "sma backend" in str(excinfo.value)
+        assert str(problem) in str(excinfo.value)
+        assert len(executor.cache) == 0

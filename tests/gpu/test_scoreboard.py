@@ -31,16 +31,3 @@ class TestScoreboard:
         sb.set_pending(0, [2], ready_at=9.0)
         assert sb.earliest_ready(0, [1, 2]) == 9.0
         assert sb.earliest_ready(0, [3]) == 0.0
-
-    def test_prune_removes_stale(self):
-        sb = Scoreboard(1)
-        sb.set_pending(0, [1, 2], ready_at=5.0)
-        sb.prune(0, now=6.0)
-        assert sb.outstanding(0) == 0
-
-    def test_prune_keeps_pending(self):
-        sb = Scoreboard(1)
-        sb.set_pending(0, [1], ready_at=5.0)
-        sb.set_pending(0, [2], ready_at=100.0)
-        sb.prune(0, now=6.0)
-        assert sb.outstanding(0) == 1
