@@ -13,15 +13,25 @@ event:
 * **incremental queued-frame index** — the reference loop rescans *every*
   frame head twice per event to build the QoS review dict (quadratic in
   trace length); here heads enter a sorted arrival index once, when their
-  release passes, and leave it on start/drop, so each review costs only
-  the frames actually queued;
+  release passes, and leave it on start/drop. The dict is built again
+  only when that index changes, so ``review`` and ``next_event`` share it;
 * **share plans** — when a task is dispatched its policy weight, its
   counted claims and its interference pressure are folded once into a
-  plan of ``(resource slot, amount * weight)`` adds plus a share-class
-  id (its counted slots and weight). When the running set changes, the
-  loads are the plans' adds summed in running order, and each class's
-  slowdown (and, per event, its ``dt / slowdown`` step) is computed
-  once for all the running tasks that share it;
+  plan of ``(resource slot, amount * weight)`` adds and its share class
+  (its counted slots and weight), whose slowdown is computed once for
+  all the running tasks in it;
+* **per-class columns** — a running task's remaining work, completion
+  limit and dispatch sequence number sit in its class's column. An event
+  advances a column in one ``rem - dt / slowdown`` comprehension (the
+  reference's float per task); the running term of ``dt`` is the least
+  over columns of the column's least ``rem`` times its slowdown (exact: a
+  positive factor keeps the order); and a column is scanned for finished
+  tasks only when its least ``rem`` is within its largest limit;
+* **whole-number loads** — when fewer than 2**21 tasks run and each one's
+  adds are whole numbers whose magnitudes sum below 2**32, every partial
+  sum the reference forms is an integer below 2**53, so each of its
+  additions is exact in any order: the loads are integer totals kept as
+  tasks start and finish. Fractional adds are summed in running order;
 * **analytic solo-chain fast path** — when exactly one task runs, its
   slowdown is exactly 1.0 (unless its claims on one resource add up to
   more than its weight, which its plan records), so a dependency chain's
@@ -87,6 +97,28 @@ _KINDS = tuple(ResourceKind)
 _SLOT = {kind: slot for slot, kind in enumerate(_KINDS)}
 
 
+class _Column:
+    """The running tasks of one share class (``(counted slots, weight)``),
+    in running order: each one's remaining work, completion limit and
+    dispatch sequence number. While a task runs in the generic loop, its
+    remaining work is stored only here."""
+
+    __slots__ = ("counted", "weight", "rems", "limits", "seqs", "low",
+                 "high", "slowdown")
+
+    def __init__(self, counted: tuple[int, ...], weight: float) -> None:
+        #: Slots of the counted claims, the loads the slowdown reads.
+        self.counted = counted
+        self.weight = weight
+        self.rems: list[float] = []
+        self.limits: list[float] = []
+        self.seqs: list[int] = []
+        #: ``min(rems)`` and ``max(limits)`` while the column is not empty.
+        self.low = self.high = 0.0
+        #: The class's slowdown, set by ``VectorCore._compute_shares``.
+        self.slowdown = 1.0
+
+
 class _SharePlan(NamedTuple):
     """A dispatched task's part in the shares, built once by
     :meth:`VectorCore._build_plan` for every task with equal claims and
@@ -95,15 +127,16 @@ class _SharePlan(NamedTuple):
     #: ``(slot, amount * weight)`` load contributions in the reference
     #: loop's order: counted claims, then interference pressure.
     adds: tuple[tuple[int, float], ...]
-    #: Slots of the counted claims, the loads the slowdown reads.
-    counted: tuple[int, ...]
-    weight: float
-    #: Id of ``(counted, weight)``: tasks of one class share a slowdown.
-    share_class: int
-    #: Whether the task runs alone at slowdown exactly 1.0 (false when
-    #: its claims on one kind add up to more than its weight), which
-    #: the solo chain needs to condense its step.
-    solo_full_speed: bool
+    #: The share class's column: tasks of one class share a slowdown.
+    column: _Column
+    #: ``adds`` as ``(slot, int)`` pairs when each is a whole number and
+    #: their magnitudes sum below 2**32, else None (see
+    #: :meth:`VectorCore._compute_shares`).
+    whole: tuple[tuple[int, int], ...] | None
+    #: The task's slowdown when it runs alone: exactly 1.0 unless its
+    #: claims on one kind add up to more than its weight. The solo chain
+    #: condenses only steps at 1.0.
+    solo_slowdown: float
     #: The task's busy/load-integral accrual when it runs alone.
     solo_accrual: tuple[tuple[ResourceKind, float], ...]
     touches_substrate: bool
@@ -271,18 +304,28 @@ class VectorCore:
         # cannot be reused while the entry lives.
         self._plans_by_value: dict[tuple[tuple, float], _SharePlan] = {}
         self._plans_by_id: dict[tuple[int, float], tuple] = {}
-        # Share-class id of each (counted slots, weight).
-        self._classes: dict[tuple[tuple[int, ...], float], int] = {}
-        # One ``(uid, plan, completion limit)`` per task of ``running``,
-        # in running order, kept in step with it wherever a task starts
-        # or finishes.
-        self._running_shares: list[tuple[int, _SharePlan, float]] = []
-        # Derived from those by ``_compute_shares`` when the running set
-        # changes: busy/load-integral accrual pairs and the slowdown per
-        # share class.
+        # The column of each share class (counted slots, weight), and
+        # the columns that hold running tasks.
+        self._columns: dict[tuple[tuple[int, ...], float], _Column] = {}
+        self._present: list[_Column] = []
+        # Each task of ``running``'s plan and dispatch sequence number, in
+        # running order, kept in step with it wherever a task starts or
+        # finishes.
+        self._running_plans: list[_SharePlan] = []
+        self._running_seqs: list[int] = []
+        self._seq = 0
+        # Per slot, the running whole plans' adds summed and counted; and
+        # the count of running fractional plans.
+        self._totals = [0] * len(_KINDS)
+        self._touches = [0] * len(_KINDS)
+        self._fractional = 0
+        # Derived by ``_compute_shares`` when the running set changes:
+        # busy/load-integral accrual pairs and each column's slowdown.
         self._shares_dirty = True
         self._accrual: list[tuple[ResourceKind, float]] = []
-        self._slowdown: dict[int, float] = {}
+        # The dict ``_queued_frames`` built last, until ``queued_keys``
+        # changes.
+        self._queued_view: dict[str, list[OpTask]] | None = None
         self._fast_ok = type(policy) in _FAST_POLICIES and (
             qos is None or type(qos) in _FAST_QOS
         )
@@ -372,7 +415,7 @@ class VectorCore:
                 self.aborted.discard(key)
         self.live -= len(uids)
 
-    # -- queued-frame index ------------------------------------------------------------
+    # -- queued and in-flight frame indexes --------------------------------------------
     def _drain_arrivals(self) -> None:
         heap = self.arrival_heap
         now = self.now
@@ -381,41 +424,36 @@ class VectorCore:
             if self.status.get(uid) in (_DONE, _DROPPED) or uid in self.start:
                 continue
             insort(self.queued_keys, self.head_key[uid])
+            self._queued_view = None
+
+    def _discard(self, keys: list, uid: int) -> bool:
+        """Take ``uid``'s head key out of the sorted ``keys``, if there."""
+        key = self.head_key.get(uid)
+        index = len(keys) if key is None else bisect_left(keys, key)
+        if index < len(keys) and keys[index] == key:
+            del keys[index]
+            return True
+        return False
 
     def _queued_discard(self, uid: int) -> None:
-        key = self.head_key.get(uid)
-        if key is None:
-            return
-        keys = self.queued_keys
-        index = bisect_left(keys, key)
-        if index < len(keys) and keys[index] == key:
-            del keys[index]
+        if self._discard(self.queued_keys, uid):
+            self._queued_view = None
+
+    def _frames(self, keys: list) -> dict[str, list[OpTask]]:
+        """The heads of ``keys`` per stream, in ``keys`` order."""
+        frames: dict[str, list[OpTask]] = {}
+        for _, uid in keys:
+            task = self.by_uid[uid]
+            frames.setdefault(task.stream, []).append(task)
+        return frames
 
     def _queued_frames(self) -> dict[str, list[OpTask]]:
-        queued: dict[str, list[OpTask]] = {}
-        by_uid = self.by_uid
-        for _, uid in self.queued_keys:
-            task = by_uid[uid]
-            queued.setdefault(task.stream, []).append(task)
-        return queued
-
-    # -- in-flight frame index (preemptive QoS only) -------------------------------------
-    def _inflight_discard(self, uid: int) -> None:
-        key = self.head_key.get(uid)
-        if key is None:
-            return
-        keys = self.inflight_keys
-        index = bisect_left(keys, key)
-        if index < len(keys) and keys[index] == key:
-            del keys[index]
-
-    def _inflight_frames(self) -> dict[str, list[OpTask]]:
-        inflight: dict[str, list[OpTask]] = {}
-        by_uid = self.by_uid
-        for _, uid in self.inflight_keys:
-            task = by_uid[uid]
-            inflight.setdefault(task.stream, []).append(task)
-        return inflight
+        """The admission policies' view of the queue, built again only
+        after ``queued_keys`` changed (a queued head's task never
+        changes)."""
+        if self._queued_view is None:
+            self._queued_view = self._frames(self.queued_keys)
+        return self._queued_view
 
     def _frame_resolved(self, task: OpTask) -> None:
         """Account one resolved (completed/dropped/aborted) frame member;
@@ -429,7 +467,7 @@ class VectorCore:
         if left <= 0:
             head_uid = self.frame_head_uid.get(key)
             if head_uid is not None:
-                self._inflight_discard(head_uid)
+                self._discard(self.inflight_keys, head_uid)
             self.aborted.discard(key)
 
     # -- event queue helpers -----------------------------------------------------------
@@ -563,7 +601,7 @@ class VectorCore:
         reference ``abort_frame`` exactly, including record order)."""
         key = (head.stream, head.frame)
         self.aborted.add(key)
-        self._inflight_discard(head.uid)
+        self._discard(self.inflight_keys, head.uid)
         for uid in sorted(self.frame_uids.get(key, ())):
             if uid in self.start or self.status.get(uid) == _DROPPED:
                 continue
@@ -638,32 +676,119 @@ class VectorCore:
                 for victim, factor in matrix.pressure(primaries).items()
             ]
         loads, accrual = _sum_loads((adds,))
+        column = self._columns.get((counted, weight))
+        if column is None:
+            column = self._columns[counted, weight] = _Column(counted, weight)
+        ints = [(slot, int(a)) for slot, a in adds if float(a).is_integer()]
+        small = sum(abs(a) for _, a in ints) < 1 << 32
         return _SharePlan(
             adds=tuple(adds),
-            counted=counted,
-            weight=weight,
-            share_class=self._classes.setdefault(
-                (counted, weight), len(self._classes)
-            ),
-            solo_full_speed=_slowdown_of(loads, counted, weight) == 1.0,
+            column=column,
+            whole=tuple(ints) if small and len(ints) == len(adds) else None,
+            solo_slowdown=_slowdown_of(loads, counted, weight),
             solo_accrual=tuple(accrual),
             touches_substrate=_touches_substrate(task),
         )
 
     def _compute_shares(self) -> None:
-        """Loads and slowdowns of the running set: the reference loop's
-        float operations in its order, with each class's slowdown
-        computed once for all its running tasks."""
-        shares = self._running_shares
-        loads, self._accrual = _sum_loads([plan.adds for _, plan, _ in shares])
-        slowdown: dict[int, float] = {}
-        for _, plan, _ in shares:
-            if plan.share_class not in slowdown:
-                slowdown[plan.share_class] = _slowdown_of(
-                    loads, plan.counted, plan.weight
-                )
-        self._slowdown = slowdown
+        """Loads and slowdowns of the running set, each class's slowdown
+        computed once. Whole plans below 2**32 each, fewer than 2**21 of
+        them, bound every partial sum to an integer below 2**53, so the
+        integer totals are exact. The adds are summed in running order
+        otherwise, and while a touched kind is not yet a key of ``busy``:
+        the accrual's first-touch order is then the key order of ``busy``
+        and ``load_integral``."""
         self._shares_dirty = False
+        plans = self._running_plans
+        if len(plans) == 1:
+            # A lone plan's loads are its own adds, summed by _build_plan.
+            plan = plans[0]
+            self._accrual = plan.solo_accrual
+            plan.column.slowdown = plan.solo_slowdown
+            return
+        touches = self._touches
+        busy = self.busy
+        if (
+            self._fractional
+            or len(plans) >= 1 << 21
+            or any(
+                count and kind not in busy
+                for kind, count in zip(_KINDS, touches)
+            )
+        ):
+            loads, self._accrual = _sum_loads([plan.adds for plan in plans])
+        else:
+            loads = [float(total) for total in self._totals]
+            self._accrual = [
+                (kind, min(load, 1.0))
+                for kind, load, count in zip(_KINDS, loads, touches)
+                if count
+            ]
+        for column in self._present:
+            column.slowdown = _slowdown_of(
+                loads, column.counted, column.weight
+            )
+
+    def _enter(self, task: OpTask, plan: _SharePlan) -> None:
+        """Add a dispatched task to the running set: ``running``, its
+        plan and sequence number, its class's column and the totals."""
+        uid = task.uid
+        seq = self._seq
+        self._seq = seq + 1
+        self.running.append(task)
+        self._running_plans.append(plan)
+        self._running_seqs.append(seq)
+        rem, limit = self.remaining[uid], self._limit(uid)
+        column = plan.column
+        if column.rems:
+            column.low = min(column.low, rem)
+            column.high = max(column.high, limit)
+        else:
+            column.low, column.high = rem, limit
+            self._present.append(column)
+        column.rems.append(rem)
+        column.limits.append(limit)
+        column.seqs.append(seq)
+        self._count(plan, 1)
+
+    def _count(self, plan: _SharePlan, sign: int) -> None:
+        """Add (``sign`` 1) or take out (-1) a plan's part in the totals."""
+        if plan.whole is None:
+            self._fractional += sign
+        else:
+            totals, touches = self._totals, self._touches
+            for slot, amount in plan.whole:
+                totals[slot] += sign * amount
+                touches[slot] += sign
+        self._shares_dirty = True
+
+    def _finish(self, due: list[_Column]) -> None:
+        """Complete the finished tasks of the ``due`` columns in running
+        order; each one's remaining work goes back to ``remaining``."""
+        finished: list[tuple[int, float]] = []
+        for column in due:
+            rems, limits = column.rems, column.limits
+            for index in reversed(
+                [at for at, rem in enumerate(rems) if rem <= limits[at]]
+            ):
+                finished.append((column.seqs.pop(index), rems.pop(index)))
+                del limits[index]
+            if rems:
+                column.low, column.high = min(rems), max(limits)
+            else:
+                self._present.remove(column)
+        finished.sort()
+        seqs = self._running_seqs
+        tasks = []
+        for seq, rem in finished:
+            index = bisect_left(seqs, seq)
+            del seqs[index]
+            self._count(self._running_plans.pop(index), -1)
+            task = self.running.pop(index)
+            self.remaining[task.uid] = rem
+            tasks.append(task)
+        for task in tasks:
+            self._complete(task)
 
     def _limit(self, uid: int) -> float:
         """The remaining work at or below which a task has finished:
@@ -716,7 +841,7 @@ class VectorCore:
                 # and no head starts inside a condensation, so the entry
                 # horizon bounds the whole chain segment.
                 ihorizon = qos.next_inflight_event(
-                    self.now, self._inflight_frames()
+                    self.now, self._frames(self.inflight_keys)
                 )
         # Hot loop: hoist every attribute the per-step body touches.
         # Nothing below changes a single float operation relative to the
@@ -751,10 +876,13 @@ class VectorCore:
         events = self.events
         done = self.done
         stepped = False
-        uid, plan, _ = self._running_shares[0]
+        entry_plan = plan = self._running_plans[0]
+        uid = running[0].uid
+        # Inside the chain the running task's work lives in ``remaining``.
+        remaining[uid] = plan.column.rems[0]
         while len(running) == 1 and not ready:
             task = running[0]
-            if not plan.solo_full_speed:
+            if plan.solo_slowdown != 1.0:
                 break
             rem = remaining[uid]
             # Alone on the machine the slowdown is exactly 1.0, so the
@@ -854,11 +982,20 @@ class VectorCore:
         self.substrate_mode = substrate_mode
         self.substrate_stream = substrate_stream
         if stepped:
-            # Only the last task dispatched here can still be running.
-            self._running_shares[:] = (
-                [(uid, plan, self._limit(uid))] if running else []
-            )
-            self._shares_dirty = True
+            # The entry task finished here, and only the last task
+            # dispatched here can still be running. With the entry's plan
+            # it takes the entry's place, and the shares stand.
+            column = entry_plan.column
+            if running and plan is entry_plan:
+                column.rems[0] = column.low = remaining[uid]
+                column.limits[0] = column.high = self._limit(uid)
+            else:
+                del column.rems[:], column.limits[:], column.seqs[:]
+                del self._present[:], self._running_plans[:]
+                del self._running_seqs[:]
+                self._count(entry_plan, -1)
+                if running:
+                    self._enter(running.pop(), plan)
         return stepped
 
     # -- the generic event loop --------------------------------------------------------
@@ -898,7 +1035,7 @@ class VectorCore:
                 # the unstarted remainder of any whose deadline slipped.
                 if self.qos_preemptive:
                     for head, reason in qos.review_inflight(
-                        self.now, self._inflight_frames()
+                        self.now, self._frames(self.inflight_keys)
                     ):
                         self._abort_frame(head, reason)
                     if self.done >= self.total:
@@ -947,11 +1084,7 @@ class VectorCore:
                                 self.inflight_keys,
                                 self.head_key[task.uid],
                             )
-                    self.running.append(task)
-                    self._running_shares.append(
-                        (task.uid, plan, self._limit(task.uid))
-                    )
-                self._shares_dirty = True
+                    self._enter(task, plan)
 
             if not self.running:
                 release = self._pending_release()
@@ -971,14 +1104,12 @@ class VectorCore:
 
             if self._shares_dirty:
                 self._compute_shares()
-            shares = self._running_shares
-            slowdown = self._slowdown
-            remaining = self.remaining
+            present = self._present
 
-            dt = min(
-                remaining[uid] * slowdown[plan.share_class]
-                for uid, plan, _ in shares
-            )
+            # A positive slowdown keeps the order of remaining work, so a
+            # class's least ``rem * slowdown`` is its least ``rem`` times
+            # the slowdown: the same float as the reference's minimum.
+            dt = min(column.low * column.slowdown for column in present)
             release = self._pending_release()
             if release is not None:
                 dt = min(dt, release - self.now)
@@ -988,16 +1119,12 @@ class VectorCore:
                     dt = min(dt, horizon - self.now)
                 if self.qos_preemptive:
                     ihorizon = qos.next_inflight_event(
-                        self.now, self._inflight_frames()
+                        self.now, self._frames(self.inflight_keys)
                     )
                     if ihorizon is not None:
                         dt = min(dt, ihorizon - self.now)
             dt = max(dt, 0.0)
 
-            # One pass advances every running task and finds the
-            # finished ones by position, so removing them never compares
-            # tasks field by field.
-            finished = []
             if dt > 0.0:
                 busy = self.busy
                 load_integral = self.load_integral
@@ -1006,29 +1133,16 @@ class VectorCore:
                     load_integral[kind] = (
                         load_integral.get(kind, 0.0) + amount * dt
                     )
-                step = {
-                    share_class: dt / class_slowdown
-                    for share_class, class_slowdown in slowdown.items()
-                }
-                for index, (uid, plan, limit) in enumerate(shares):
-                    left = remaining[uid] - step[plan.share_class]
-                    remaining[uid] = left
-                    if left <= limit:
-                        finished.append(index)
+                for column in present:
+                    step = dt / column.slowdown
+                    rems = column.rems = [rem - step for rem in column.rems]
+                    column.low = min(rems)
                 self.now += dt
-            else:
-                for index, (uid, _, limit) in enumerate(shares):
-                    if remaining[uid] <= limit:
-                        finished.append(index)
-            if finished:
-                running = self.running
-                tasks = [running[index] for index in finished]
-                for index in reversed(finished):
-                    del running[index]
-                    del shares[index]
-                for task in tasks:
-                    self._complete(task)
-                self._shares_dirty = True
+            # Only a column whose least work is within its largest limit
+            # can hold a finished task.
+            due = [column for column in present if column.low <= column.high]
+            if due:
+                self._finish(due)
 
     # -- materialized-run assembly -----------------------------------------------------
     def build_timeline(self) -> Timeline:

@@ -88,14 +88,16 @@ class AdmissionPolicy:
         """Frames to drop now, as ``(head_task, reason)`` pairs.
 
         ``queued`` maps stream name to that stream's arrived-but-unstarted
-        frame-head tasks in arrival order.
+        frame-head tasks in arrival order. The engine passes the same dict
+        and lists to every call until the queue changes: never mutate them.
         """
         return []
 
     def next_event(self, now: float, queued: dict) -> float | None:
         """The next time (> now) this policy's decision could change
         between releases/completions, or ``None``. The engine bounds its
-        time step by it so deadline expiries are hit exactly."""
+        time step by it so deadline expiries are hit exactly. ``queued``
+        is shared as in :meth:`review` and must not be mutated either."""
         return None
 
     def review_inflight(self, now: float, inflight: dict) -> list:

@@ -43,20 +43,27 @@ _SECONDS = st.floats(
 _RELEASE = st.floats(
     min_value=0.0, max_value=5.0, allow_nan=False, allow_infinity=False
 )
+_WEIGHT = st.floats(min_value=0.5, max_value=4.0, allow_nan=False)
 
 
 @st.composite
-def task_sets(draw, claim_choices=CLAIM_CHOICES):
+def task_sets(
+    draw,
+    claim_choices=CLAIM_CHOICES,
+    seconds=_SECONDS,
+    releases=_RELEASE,
+    weights=_WEIGHT,
+):
     """Frame-chained multi-stream task sets (the shape platforms emit),
-    each task's claims drawn from ``claim_choices``."""
+    each task's claims drawn from ``claim_choices``, its duration from
+    ``seconds``, its frame's release from ``releases`` and its stream's
+    weight from ``weights``."""
     tasks = []
     uid = 0
     stream_count = draw(st.integers(min_value=1, max_value=3))
     for stream_index in range(stream_count):
         stream = f"s{stream_index}"
-        weight = draw(
-            st.floats(min_value=0.5, max_value=4.0, allow_nan=False)
-        )
+        weight = draw(weights)
         deadline = draw(
             st.one_of(
                 st.none(),
@@ -65,7 +72,7 @@ def task_sets(draw, claim_choices=CLAIM_CHOICES):
         )
         previous_last = None
         for frame in range(draw(st.integers(min_value=1, max_value=3))):
-            release = draw(_RELEASE)
+            release = draw(releases)
             chain = draw(st.integers(min_value=1, max_value=3))
             for position in range(chain):
                 if position == 0:
@@ -76,7 +83,7 @@ def task_sets(draw, claim_choices=CLAIM_CHOICES):
                     OpTask(
                         uid=uid,
                         name=f"{stream}/f{frame}/op{position}",
-                        seconds=draw(_SECONDS),
+                        seconds=draw(seconds),
                         claims=draw(st.sampled_from(claim_choices)),
                         stream=stream,
                         frame=frame,

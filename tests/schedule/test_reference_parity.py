@@ -6,15 +6,22 @@ hypothesis-drawn task set, under every policy and QoS regime, with and
 without an interference matrix. ``Timeline ==`` ignores the key order of
 ``busy_s`` and ``load_integral_s``, so their key lists are compared too:
 reports write those dicts in that order.
+
+Tasks that finish in the same event complete in running order, however
+many of them share a class. The tie cases below pin that by name, and
+the grid arm draws durations and releases where ties are common.
 """
 
+import pytest
+
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.catalog.interference import InterferenceMatrix
 from repro.schedule.policies import POLICY_NAMES
 from repro.schedule.reference import run_reference
 from repro.schedule.resources import ResourceClaim, ResourceKind
-from repro.schedule.timeline import TimelineScheduler
+from repro.schedule.timeline import OpTask, TimelineScheduler
 from repro.serving.qos import make_qos
 from tests.schedule.test_invariants import (
     CLAIM_CHOICES,
@@ -47,9 +54,16 @@ MATRIX = InterferenceMatrix(
 )
 
 
-@given(tasks=task_sets(claim_choices=PARITY_CLAIMS))
-@settings(max_examples=60, deadline=None)
-def test_core_matches_reference(tasks):
+#: A small grid of durations, releases and whole-number weights, so
+#: tasks often finish, and frames often arrive, in one event.
+TIE_GRID = {
+    "seconds": st.sampled_from((0.0, 0.25, 0.5, 1.0)),
+    "releases": st.sampled_from((0.0, 0.5, 1.0)),
+    "weights": st.sampled_from((1.0, 2.0, 3.0)),
+}
+
+
+def _assert_parity(tasks):
     for interference in (None, MATRIX):
         for policy in POLICY_NAMES:
             for qos in QOS_CHOICES:
@@ -66,3 +80,66 @@ def test_core_matches_reference(tasks):
                 assert list(production.load_integral_s) == list(
                     reference.load_integral_s
                 ), context
+
+
+@given(tasks=task_sets(claim_choices=PARITY_CLAIMS))
+@settings(max_examples=60, deadline=None)
+def test_core_matches_reference(tasks):
+    _assert_parity(tasks)
+
+
+@given(tasks=task_sets(claim_choices=PARITY_CLAIMS, **TIE_GRID))
+@settings(max_examples=60, deadline=None)
+def test_core_matches_reference_on_ties(tasks):
+    _assert_parity(tasks)
+
+
+def _simd_task(uid, name, seconds, stream, deps=(), release_s=0.0):
+    return OpTask(
+        uid=uid,
+        name=name,
+        seconds=seconds,
+        claims=(ResourceClaim(ResourceKind.SIMD),),
+        stream=stream,
+        deps=deps,
+        release_s=release_s,
+    )
+
+
+def _segment_names(policy, tasks):
+    scheduler = TimelineScheduler(policy)
+    production = scheduler.run(tasks)
+    assert production == run_reference(scheduler, tasks)
+    return [segment.name for segment in production.segments], production
+
+
+@pytest.mark.parametrize("policy", ["fifo", "priority"])
+def test_one_class_finishing_together_completes_in_running_order(policy):
+    """``a`` and ``b`` share SIMD and finish in one event: both complete
+    there, in running order, so ``b2`` (the lower uid) is released and
+    dispatched ahead of ``a2`` and, sharing again, finishes first."""
+    tasks = [
+        _simd_task(0, "a", 1.0, "s0"),
+        _simd_task(1, "b", 1.0, "s1"),
+        _simd_task(3, "a2", 0.5, "s0", deps=(0,)),
+        _simd_task(2, "b2", 0.5, "s1", deps=(1,)),
+    ]
+    names, timeline = _segment_names(policy, tasks)
+    assert names == ["a", "b", "b2", "a2"]
+    assert [segment.end_s for segment in timeline.segments] == [
+        2.0, 2.0, 3.0, 3.0,
+    ]
+
+
+@pytest.mark.parametrize("policy", ["fifo", "priority"])
+def test_larger_limit_finishes_a_longer_remainder_in_the_same_event(policy):
+    """``long`` has 1e-7 s more work left than ``short`` when ``short``
+    finishes: more than ``short``'s completion limit, within its own
+    (1e-12 of its 1e6 s), so it completes in that event, first."""
+    tasks = [
+        _simd_task(0, "long", 1e6, "s0"),
+        _simd_task(1, "short", 1.0, "s1", release_s=1e6 - 1.0 - 1e-7),
+    ]
+    names, timeline = _segment_names(policy, tasks)
+    assert names == ["long", "short"]
+    assert timeline.segments[0].end_s == timeline.segments[1].end_s
