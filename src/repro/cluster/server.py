@@ -29,6 +29,10 @@ from repro.errors import (
 from repro.gemm.cache import TimingCache
 from repro.obs.selfprof import profile_phase
 
+#: Seconds between the listener's checks for a shutdown request: the most
+#: :meth:`ClusterServer.close` waits for the listener to stop.
+POLL_INTERVAL_S = 0.05
+
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:  # pragma: no cover - exercised via TCP tests
@@ -75,7 +79,10 @@ class ClusterServer:
         self._tcp.cluster = self
         self.host, self.port = self._tcp.server_address[:2]
         self._thread = threading.Thread(
-            target=self._tcp.serve_forever, name="cluster-server", daemon=True
+            target=self._tcp.serve_forever,
+            args=(POLL_INTERVAL_S,),
+            name="cluster-server",
+            daemon=True,
         )
         self._thread.start()
         return self.host, self.port

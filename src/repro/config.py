@@ -28,12 +28,17 @@ class DataType(enum.Enum):
 
     @property
     def bytes(self) -> int:
-        return {DataType.FP32: 4, DataType.FP16: 2, DataType.INT8: 1}[self]
+        return _DTYPE_BYTES[self._value_]
 
     @property
     def fp16_equivalents(self) -> int:
         """How many FP16 MAC units one MAC of this type is worth (area)."""
-        return {DataType.FP32: 2, DataType.FP16: 1, DataType.INT8: 1}[self]
+        return _DTYPE_FP16_EQUIVALENTS[self._value_]
+
+
+# Keyed by the format's value: a lookup hashes a str, not an enum member.
+_DTYPE_BYTES = {"fp32": 4, "fp16": 2, "int8": 1}
+_DTYPE_FP16_EQUIVALENTS = {"fp32": 2, "fp16": 1, "int8": 1}
 
 
 @dataclass(frozen=True)

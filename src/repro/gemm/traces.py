@@ -42,7 +42,7 @@ _ADDR = 1
 
 def _vector_lds(base: int) -> MemAccess:
     """A 16-byte-per-lane shared load (ld.shared.v4): 4 bank rounds."""
-    addresses = tuple(base + lane * 16 for lane in range(32))
+    addresses = tuple(range(base, base + 32 * 16, 16))
     return MemAccess(MemSpace.SHARED, addresses, width_bytes=16)
 
 

@@ -21,7 +21,13 @@ class SchedulerPolicy(abc.ABC):
 
     @abc.abstractmethod
     def order(self, warp_ids: Sequence[int]) -> list[int]:
-        """Return candidate warps in descending priority."""
+        """Return candidate warps in descending priority.
+
+        The ordering depends only on ``warp_ids`` and on the
+        :meth:`notify_issued` calls so far, and ``warp_ids`` is never
+        mutated: the SM keeps a scheduler's order until it issues or its
+        candidates change.
+        """
 
     @abc.abstractmethod
     def notify_issued(self, warp_id: int) -> None:

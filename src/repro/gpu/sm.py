@@ -26,6 +26,11 @@ warp's ``blocked_until`` or head-ready time, a resource's admission edge, a
 systolic unit freeing — and counts each stalled scheduler's reason once per
 cycle it skipped. Its result equals the cycle-by-cycle loop's, counter and
 stall order included.
+
+Within a cycle a unit's refusal holds: ``can_accept`` reads only the cycle,
+``free_at`` and ``queue_depth``, and only ``accept`` moves ``free_at``, and
+only later. So once a unit refuses, later warps that want it in the same
+cycle are refused without asking again.
 """
 
 from __future__ import annotations
@@ -333,6 +338,15 @@ class StreamingMultiprocessor:
         policies: list[SchedulerPolicy] = [
             make_scheduler(kernel.scheduler) for _ in range(num_schedulers)
         ]
+        # Each scheduler keeps its candidates (unfinished warps at no barrier
+        # and not blocked) and their policy order between cycles. They are
+        # rebuilt at the refresh cycle: now, once one of its warps finishes,
+        # arrives at or leaves a barrier, or sleeps on SMAWAIT; else the
+        # earliest blocked_until among its other warps. The order is kept
+        # until it issues (SchedulerPolicy.order's contract).
+        candidates: list[list[int]] = [[] for _ in range(num_schedulers)]
+        orders: list[list[int] | None] = [None] * num_schedulers
+        refresh = [0.0] * num_schedulers
         barrier_arrivals: dict[tuple[int, int], set[int]] = {}
         group_sizes = {gid: len(members) for gid, members in kernel.groups.items()}
         group_sizes[self.TB_GROUP] = num_warps
@@ -356,6 +370,7 @@ class StreamingMultiprocessor:
                     for warp_id in arrived:
                         warps[warp_id].waiting_barrier = None
                         warps[warp_id].blocked_until = now
+                        refresh[warp_id % num_schedulers] = now
                     waiting_count -= len(arrived)
                     released.append(key)
             for key in released:
@@ -378,19 +393,33 @@ class StreamingMultiprocessor:
 
             issued_any = False
             stalled: list[str] = []
+            # Units that refused this cycle, by name.
+            refused: set[str] = set()
             for scheduler_id, policy in enumerate(policies):
-                candidates = [
-                    warp_id
-                    for warp_id in range(scheduler_id, num_warps, num_schedulers)
-                    if not warps[warp_id].done
-                    and warps[warp_id].waiting_barrier is None
-                    and warps[warp_id].blocked_until <= now
-                ]
-                if not candidates:
+                if refresh[scheduler_id] <= now:
+                    ready: list[int] = []
+                    wake = math.inf
+                    for warp_id in range(scheduler_id, num_warps, num_schedulers):
+                        state = warps[warp_id]
+                        if state.done or state.waiting_barrier is not None:
+                            continue
+                        if state.blocked_until <= now:
+                            ready.append(warp_id)
+                        elif state.blocked_until < wake:
+                            wake = state.blocked_until
+                    candidates[scheduler_id] = ready
+                    orders[scheduler_id] = None
+                    refresh[scheduler_id] = wake
+                if not candidates[scheduler_id]:
                     continue
+                order = orders[scheduler_id]
+                if order is None:
+                    order = orders[scheduler_id] = policy.order(
+                        candidates[scheduler_id]
+                    )
                 issued = False
                 blocked_reason = "stall_scoreboard"
-                for warp_id in policy.order(candidates):
+                for warp_id in order:
                     state = warps[warp_id]
                     if state.head_ready > now:
                         blocked_reason = "stall_scoreboard"
@@ -425,15 +454,24 @@ class StreamingMultiprocessor:
                     else:
                         if unit_name is not None:
                             resource = resources[unit_name]
-                            if not resource.can_accept(now, unit_cost):
+                            if unit_name in refused or not resource.can_accept(
+                                now, unit_cost
+                            ):
+                                refused.add(unit_name)
                                 blocked_reason = f"stall_{unit_name}"
                                 continue
-                        if reads and not rf_read.can_accept(now, reads * read_cost):
+                        if reads and (
+                            "rf_read" in refused
+                            or not rf_read.can_accept(now, reads * read_cost)
+                        ):
+                            refused.add("rf_read")
                             blocked_reason = "stall_rf_read"
                             continue
-                        if writes and not rf_write.can_accept(
-                            now, writes * write_cost
+                        if writes and (
+                            "rf_write" in refused
+                            or not rf_write.can_accept(now, writes * write_cost)
                         ):
+                            refused.add("rf_write")
                             blocked_reason = "stall_rf_write"
                             continue
                         if unit_name is not None:
@@ -461,22 +499,26 @@ class StreamingMultiprocessor:
                         barrier_arrivals.setdefault(
                             (group_id, instance), set()
                         ).add(warp_id)
+                        refresh[scheduler_id] = now
                     elif opcode is Opcode.SMAWAIT:
                         if engine is None:
                             raise SimulationError(
                                 "trace contains SMAWAIT but no engine is attached"
                             )
                         state.blocked_until = max(now + 1.0, engine.idle_at(now))
+                        refresh[scheduler_id] = now
                     state.pc += 1
                     if opcode is Opcode.EXIT or state.pc >= len(trace):
                         state.done = True
                         done_count += 1
+                        refresh[scheduler_id] = now
                     else:
                         state.record = None
                         state.head_ready = scoreboard.earliest_ready(
                             warp_id, trace[state.pc].srcs
                         )
                     policy.notify_issued(warp_id)
+                    orders[scheduler_id] = None
                     issued = True
                     break
                 if issued:

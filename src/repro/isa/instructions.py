@@ -131,7 +131,7 @@ def coalesced_access(
     is_store: bool = False,
 ) -> MemAccess:
     """Unit-stride access: lane i touches ``base + i * width_bytes``."""
-    addresses = tuple(base + lane * width_bytes for lane in range(lanes))
+    addresses = tuple(range(base, base + lanes * width_bytes, width_bytes))
     return MemAccess(space, addresses, width_bytes, is_store)
 
 

@@ -1,6 +1,7 @@
 """Server lifecycle and typed client errors over real TCP and stdio."""
 
 import io
+import time
 from dataclasses import replace
 
 import pytest
@@ -86,6 +87,14 @@ class TestServerLifecycle:
         server.wait()
         with pytest.raises(ClusterConnectionError):
             ClusterClient(server.address).status()
+
+    def test_idle_close_returns_promptly(self):
+        # With serve_forever's default 0.5 s poll, an idle close took 0.45 s.
+        server = ClusterServer(jobs=1)
+        server.start()
+        start = time.monotonic()
+        server.close()
+        assert time.monotonic() - start < 0.25
 
     def test_connect_to_dead_port_is_typed(self):
         with pytest.raises(ClusterConnectionError, match="cannot connect"):

@@ -17,6 +17,8 @@ from repro.gemm.traces import (
     build_simd_gemm_kernel,
     build_tc_gemm_kernel,
 )
+from repro.gpu import scheduler as scheduler_module
+from repro.gpu import sm as sm_module
 from repro.gpu.sm import (
     KernelSpec,
     LsmaEngine,
@@ -26,6 +28,8 @@ from repro.gpu.sm import (
 )
 from repro.isa.instructions import MemSpace, coalesced_access, strided_access
 from repro.isa.program import ProgramBuilder, WarpProgram
+from tests.gpu import reference_sm
+from tests.gpu.reference_sm import fingerprint, run_reference
 
 
 @pytest.fixture(scope="module")
@@ -161,16 +165,17 @@ class TestCycleLimit:
 
 
 class _StubEngine(LsmaEngine):
-    """Accepts every LSMA with a fixed 10-cycle occupancy."""
+    """Accepts every LSMA with a fixed occupancy (10 cycles by default)."""
 
-    def __init__(self):
+    def __init__(self, occupancy=10.0):
+        self.occupancy = occupancy
         self.busy_until = 0.0
         self.issued = 0
 
     def issue(self, unit_id, k_extent, now):
         if self.busy_until > now:
             return LsmaIssue(accepted=False)
-        self.busy_until = now + 10.0
+        self.busy_until = now + self.occupancy
         self.issued += 1
         return LsmaIssue(
             accepted=True,
@@ -354,3 +359,133 @@ class TestSharedInstructions:
         assert list(first.counters.items()) == list(second.counters.items())
         assert list(first.stalls.items()) == list(second.stalls.items())
         assert first.stalls.get("stall_scoreboard") > 0
+
+
+def _traced(monkeypatch, run, module, sm, kernel):
+    """``run``'s fingerprint and the warps in the order they issued.
+
+    ``module`` is where ``run`` looks ``make_scheduler`` up; its policies
+    are wrapped to log every issue.
+    """
+    issued = []
+
+    def logging_scheduler(name):
+        policy = scheduler_module.make_scheduler(name)
+        notify = policy.notify_issued
+
+        def notify_issued(warp_id):
+            issued.append(warp_id)
+            notify(warp_id)
+
+        policy.notify_issued = notify_issued
+        return policy
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "make_scheduler", logging_scheduler)
+        result = run(sm, kernel)
+    return fingerprint(result), issued
+
+
+def _against_reference(monkeypatch, sm, kernel):
+    """Run both loops; assert equal fingerprints and issue orders."""
+    production = _traced(
+        monkeypatch, StreamingMultiprocessor.run, sm_module, sm, kernel
+    )
+    assert production == _traced(
+        monkeypatch, run_reference, reference_sm, sm, kernel
+    )
+    return production[1]
+
+
+def _independent_ffmas(name, count):
+    builder = ProgramBuilder(name)
+    for reg in range(10, 10 + count):
+        builder.ffma(reg, 1, 2, reg)
+    return builder.exit().build()
+
+
+class TestKeptSchedulerState:
+    """Each scheduler keeps its candidates and their order between cycles;
+    each case checks the kept state against the per-cycle reference."""
+
+    @pytest.mark.parametrize("occupancy", [40.0, 37.5])
+    @pytest.mark.parametrize("scheduler", ["lrr", "sma_rr"])
+    def test_smawait_warp_rejoins_at_blocked_until(
+        self, sm, monkeypatch, scheduler, occupancy
+    ):
+        # Scheduler 0 holds warps 0, 4 and 8. Warp 0 sleeps on SMAWAIT
+        # while 4 and 8 keep issuing; its global load after the wake sets
+        # the kernel's end, so a late or early rejoin moves the cycles.
+        sleeper = ProgramBuilder("sleeper")
+        sleeper.mov(1, 0)
+        sleeper.lsma(1, 1, 1, 1, k_extent=8, unit_id=0)
+        sleeper.smawait()
+        sleeper.ldg(2, coalesced_access(MemSpace.GLOBAL, 0), 1)
+        sleeper.ffma(3, 2, 2, 3)
+        sleeper.exit()
+        idle = ProgramBuilder("idle").exit().build()
+        programs = [idle] * 9
+        programs[0] = sleeper.build()
+        programs[4] = _independent_ffmas("w4", 60)
+        programs[8] = _independent_ffmas("w8", 60)
+        kernel = KernelSpec(
+            name="sleep", programs=programs, scheduler=scheduler,
+            lsma_engine=_StubEngine(occupancy),
+        )
+        issued = _against_reference(monkeypatch, sm, kernel)
+        # The siblings issue while warp 0 sleeps and after it wakes.
+        wait_at = [i for i, warp in enumerate(issued) if warp == 0][2:4]
+        asleep = issued[wait_at[0] + 1:wait_at[1]]
+        assert len(asleep) >= 30 and set(asleep) == {4, 8}
+        assert set(issued[wait_at[1] + 1:]) >= {4, 8}
+
+    @pytest.mark.parametrize("scheduler", ["gto", "lrr", "sma_rr"])
+    @pytest.mark.parametrize("barrier", ["bar", "cgsync"])
+    def test_barrier_release_puts_its_warps_back(
+        self, sm, monkeypatch, scheduler, barrier
+    ):
+        # Warps 0-6 reach the barrier early; warp 7 arrives after a long
+        # dependent chain. Released warps then load and compute again.
+        programs = []
+        for warp_id in range(8):
+            builder = ProgramBuilder(f"w{warp_id}")
+            for _ in range(20 if warp_id == 7 else 1 + warp_id % 3):
+                builder.ffma(1, 1, 1, 1)
+            if barrier == "bar":
+                builder.bar()
+            else:
+                builder.cgsync(0)
+            builder.ldg(2, coalesced_access(MemSpace.GLOBAL, 0), 1)
+            builder.ffma(3, 2, 2, 3)
+            builder.ffma(4, 1, 1, 4)
+            programs.append(builder.exit().build())
+        kernel = KernelSpec(
+            name="release", programs=programs, scheduler=scheduler,
+            groups={0: frozenset(range(8))} if barrier == "cgsync" else {},
+        )
+        issued = _against_reference(monkeypatch, sm, kernel)
+        assert len(issued) == sum(len(program) for program in programs)
+
+    @pytest.mark.parametrize("scheduler", ["gto", "lrr", "sma_rr"])
+    def test_order_after_a_cycle_with_no_issue(self, sm, monkeypatch, scheduler):
+        # Three warps per scheduler, each a dependent chain of mixed latency
+        # broken by runs of independent FFMAs: schedulers often find every
+        # candidate waiting on the scoreboard, keep their order through that
+        # cycle, and issue after it, and GTO's greedy pick matters.
+        programs = []
+        for warp_id in range(12):
+            builder = ProgramBuilder(f"w{warp_id}")
+            for step in range(6 + warp_id % 5):
+                kind = (step + warp_id) % 4
+                if kind == 0:
+                    builder.lds(
+                        1, coalesced_access(MemSpace.SHARED, 128 * warp_id), 1
+                    )
+                elif kind == 1:
+                    builder.ffma(1, 1, 1, 1)
+                else:
+                    builder.ffma(10 + step, 2, 2, 10 + step)
+            programs.append(builder.exit().build())
+        kernel = KernelSpec(name="order", programs=programs, scheduler=scheduler)
+        _against_reference(monkeypatch, sm, kernel)
+        assert sm.run(kernel).stalls.get("stall_scoreboard") > 0

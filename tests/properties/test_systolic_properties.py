@@ -1,4 +1,5 @@
-"""Property-based tests: systolic arrays compute exact GEMMs."""
+"""Property-based tests: systolic arrays compute exact GEMMs, in the
+streaming cycles the timing path charges for them."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.systolic.array import SystolicArray
-from repro.systolic.dataflow import Dataflow
+from repro.systolic.dataflow import Dataflow, analyze_dataflow_cost
 
 _ELEMENTS = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
@@ -81,3 +82,33 @@ class TestTimingInvariants:
         b = np.ones((8, 8))
         result = SystolicArray(8, 8, Dataflow.SEMI_BROADCAST_WS).run_gemm(a, b)
         assert result.macs <= result.cycles * 64
+
+
+class TestCostModelMatchesArray:
+    """The SMA controller charges ``analyze_dataflow_cost``; the
+    cycle-stepped array is its oracle. Like ArrayFlex's and ReDas's closed
+    forms, the ideal latency is fill, stream and drain: M + K - 1 cycles
+    for semi-broadcast, M + K + N - 2 for weight-stationary."""
+
+    @given(
+        dataflow=st.sampled_from(
+            (Dataflow.SEMI_BROADCAST_WS, Dataflow.WEIGHT_STATIONARY)
+        ),
+        rows=st.integers(min_value=4, max_value=16),
+        cols=st.integers(min_value=4, max_value=24),
+        m=st.integers(min_value=1, max_value=200),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_ideal_streaming_cycles_equal_the_arrays(self, dataflow, rows, cols, m):
+        # Semi-broadcast arrays are N x K, weight-stationary ones K x N.
+        if dataflow is Dataflow.SEMI_BROADCAST_WS:
+            n, k = rows, cols
+        else:
+            k, n = rows, cols
+        a = np.arange(m * k, dtype=np.float64).reshape(m, k) % 7 + 1
+        b = np.arange(k * n, dtype=np.float64).reshape(k, n) % 5 + 1
+        result = SystolicArray(rows, cols, dataflow).run_gemm(a, b)
+        # Every C element leaves the array within those cycles.
+        np.testing.assert_array_equal(result.c, a @ b)
+        cost = analyze_dataflow_cost(dataflow, m, k, n)
+        assert cost.ideal_streaming_cycles == result.streaming_cycles
