@@ -21,11 +21,16 @@ would not be.
 The multi-stream gate does the same on perfbench's ``serve_multistream``
 stream shapes over 64 frames, where ~20 tasks run at once and no solo
 chain forms. At every event the reference loop sums every running
-task's loads and advances and checks each task on its own; the
-production core keeps whole-number loads as running totals and advances
-each share class's column of remaining work in one step, so the ratio
-grows with the running set. ``benchmarks/baseline.json`` holds its floor
-(``multistream_trace`` ``min.speedup``), which
+task's loads, advances and checks each task on its own, and hands
+``drop_late`` a fresh queued-frame dict twice, so the policy sorts
+every queued head's expiry twice. The production core keeps
+whole-number loads as running totals, advances each share class's
+column of remaining work in one step, reads a column's least work from
+its front and checks only the prefix within its largest completion
+limit, and hands ``drop_late`` one dict per queue change, so an event's
+review and next expiry are bisections of an index sorted once; the
+ratio grows with the running set. ``benchmarks/baseline.json`` holds
+its floor (``multistream_trace`` ``min.speedup``), which
 ``benchmarks/check_regression.py`` enforces.
 
 Run with::

@@ -129,13 +129,16 @@ def _submit_shards(assignments, submit, timeout_s: float = DEFAULT_TIMEOUT_S):
     pass is concurrent; a shard whose server fails with a transport or
     unavailable error then retries, one at a time, on the servers that
     took a shard and have not failed, in the order given; with none
-    left the dispatch raises :class:`~repro.errors.ClusterError`. Yields
+    left the dispatch raises :class:`~repro.errors.ClusterError` naming
+    the dead servers, chained from the last transport error. Yields
     each shard's result in assignment order as it lands, so callers can
     write finished shards through before a late one fails.
     """
     servers = list(dict.fromkeys(server for server, _shard in assignments))
     dead: set[str] = set()
     failed: list = []
+    # The last transport error, the cause of a dispatch that runs out.
+    cause: Exception | None = None
 
     def call(server: str, shard):
         with ClusterClient(server, timeout_s=timeout_s) as client:
@@ -149,8 +152,9 @@ def _submit_shards(assignments, submit, timeout_s: float = DEFAULT_TIMEOUT_S):
         for server, shard, future in futures:
             try:
                 result = future.result()
-            except _REDISPATCH_ERRORS:
+            except _REDISPATCH_ERRORS as error:
                 dead.add(server)
+                cause = error
                 failed.append(shard)
                 continue
             yield result
@@ -161,16 +165,18 @@ def _submit_shards(assignments, submit, timeout_s: float = DEFAULT_TIMEOUT_S):
                 continue
             try:
                 result = call(server, shard)
-            except _REDISPATCH_ERRORS:
+            except _REDISPATCH_ERRORS as error:
                 dead.add(server)
+                cause = error
                 continue
             yield result
             break
         else:
             raise ClusterError(
                 f"shard of {len(shard)} point(s) could not be placed: all"
-                f" {len(servers)} server(s) are dead or draining"
-            )
+                f" {len(servers)} server(s) are dead or draining:"
+                f" {', '.join(servers)}"
+            ) from cause
 
 
 def _submit_points(

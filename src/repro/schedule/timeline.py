@@ -236,9 +236,10 @@ class TimelineScheduler:
 
     :meth:`run` executes on :class:`~repro.schedule.vectorized.VectorCore`
     (heap-based event queues, an incremental queued-frame index, share
-    plans built once per dispatched task, per-class columns of remaining
-    work with integer load totals, so an event pays per share class, and
-    an analytic solo-chain fast path). Its timelines and trace event
+    plans built once per dispatched task, per-class columns kept in
+    remaining-work order with integer load totals, so an event pays per
+    share class, slot-indexed accrual, and an analytic solo-chain fast
+    path). Its timelines and trace event
     sequences are pinned bit-identical to the per-event reference loop,
     :func:`repro.schedule.reference.run_reference`.
     """

@@ -20,18 +20,29 @@ event:
   plan of ``(resource slot, amount * weight)`` adds and its share class
   (its counted slots and weight), whose slowdown is computed once for
   all the running tasks in it;
-* **per-class columns** — a running task's remaining work, completion
-  limit and dispatch sequence number sit in its class's column. An event
-  advances a column in one ``rem - dt / slowdown`` comprehension (the
-  reference's float per task); the running term of ``dt`` is the least
-  over columns of the column's least ``rem`` times its slowdown (exact: a
-  positive factor keeps the order); and a column is scanned for finished
-  tasks only when its least ``rem`` is within its largest limit;
+* **per-class columns in remaining-work order** — a running task's
+  remaining work, completion limit and dispatch sequence number sit in
+  its class's column, sorted by remaining work. An event advances a
+  column in one ``rem - dt / slowdown`` comprehension (the reference's
+  float per task), and IEEE-754 subtraction is monotonic (``a <= b``
+  gives ``fl(a - s) <= fl(b - s)``), so the column stays sorted: its
+  least ``rem`` is its first. The running term of ``dt`` is the least
+  over columns of that first ``rem`` times the column's slowdown (exact:
+  a positive factor keeps the order). A task finishes only when its
+  ``rem`` is at or below its own limit, which is at most the column's
+  largest limit, so only the column's prefix up to that largest limit is
+  checked, each task against its own limit;
 * **whole-number loads** — when fewer than 2**21 tasks run and each one's
   adds are whole numbers whose magnitudes sum below 2**32, every partial
   sum the reference forms is an integer below 2**53, so each of its
   additions is exact in any order: the loads are integer totals kept as
   tasks start and finish. Fractional adds are summed in running order;
+* **slot-indexed accrual** — busy time and load integral accrue into
+  per-slot float lists, each slot from 0.0 as the reference's dicts
+  start a key, and the slots are remembered in the order they first
+  accrued: the key order of the reference's dicts, rebuilt once at the
+  end. Whether every slot the integer totals touch has accrued is a
+  count kept as plans start and finish and as slots first accrue;
 * **analytic solo-chain fast path** — when exactly one task runs, its
   slowdown is exactly 1.0 (unless its claims on one resource add up to
   more than its weight, which its plan records), so a dependency chain's
@@ -62,7 +73,7 @@ from __future__ import annotations
 
 import heapq
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -99,12 +110,20 @@ _SLOT = {kind: slot for slot, kind in enumerate(_KINDS)}
 
 class _Column:
     """The running tasks of one share class (``(counted slots, weight)``),
-    in running order: each one's remaining work, completion limit and
-    dispatch sequence number. While a task runs in the generic loop, its
-    remaining work is stored only here."""
+    in remaining-work order: each one's remaining work, completion limit
+    and dispatch sequence number as parallel lists. While a task runs in
+    the generic loop, its remaining work is stored only here.
 
-    __slots__ = ("counted", "weight", "rems", "limits", "seqs", "low",
-                 "high", "slowdown")
+    The order needs no re-sorting. A task enters at ``bisect_right`` of
+    its work, and an event subtracts one ``step = dt / slowdown`` from
+    every ``rem``; IEEE-754 subtraction is monotonic (``a <= b`` gives
+    ``fl(a - s) <= fl(b - s)``), so the column stays sorted and its least
+    work is ``rems[0]``. A task finishes only when its ``rem`` is at or
+    below its own limit, and that limit is at most ``high``, so the
+    finished tasks all lie in ``rems[:bisect_right(rems, high)]``."""
+
+    __slots__ = ("counted", "weight", "rems", "limits", "seqs", "high",
+                 "slowdown")
 
     def __init__(self, counted: tuple[int, ...], weight: float) -> None:
         #: Slots of the counted claims, the loads the slowdown reads.
@@ -113,8 +132,8 @@ class _Column:
         self.rems: list[float] = []
         self.limits: list[float] = []
         self.seqs: list[int] = []
-        #: ``min(rems)`` and ``max(limits)`` while the column is not empty.
-        self.low = self.high = 0.0
+        #: ``max(limits)`` while the column is not empty.
+        self.high = 0.0
         #: The class's slowdown, set by ``VectorCore._compute_shares``.
         self.slowdown = 1.0
 
@@ -137,16 +156,17 @@ class _SharePlan(NamedTuple):
     #: claims on one kind add up to more than its weight. The solo chain
     #: condenses only steps at 1.0.
     solo_slowdown: float
-    #: The task's busy/load-integral accrual when it runs alone.
-    solo_accrual: tuple[tuple[ResourceKind, float], ...]
+    #: The task's ``(slot, load)`` busy/load-integral accrual when it
+    #: runs alone.
+    solo_accrual: tuple[tuple[int, float], ...]
     touches_substrate: bool
 
 
 def _sum_loads(adds_seq) -> tuple[list, list]:
     """Sum ``(slot, amount)`` adds left to right, each slot from 0.0, as
     the reference loop builds its load dict. Returns the per-slot loads
-    (None where untouched) and, in that dict's key order, ``(kind,
-    min(load, 1.0))`` per touched kind: what each second of an event's
+    (None where untouched) and, in that dict's key order, ``(slot,
+    min(load, 1.0))`` per touched slot: what each second of an event's
     ``dt`` adds to its busy time and load integral."""
     loads: list = [None] * len(_KINDS)
     touched: list[int] = []
@@ -157,7 +177,7 @@ def _sum_loads(adds_seq) -> tuple[list, list]:
                 touched.append(slot)
                 load = 0.0
             loads[slot] = load + amount
-    return loads, [(_KINDS[slot], min(loads[slot], 1.0)) for slot in touched]
+    return loads, [(slot, min(loads[slot], 1.0)) for slot in touched]
 
 
 def _slowdown_of(
@@ -255,8 +275,6 @@ class VectorCore:
         self.running: list[OpTask] = []
         self.start: dict[int, float] = {}
         self.end: dict[int, float] = {}
-        self.busy: dict[ResourceKind, float] = {}
-        self.load_integral: dict[ResourceKind, float] = {}
         self.completion_order: list[int] = []
         self.drop_records: list[DropRecord] = []
         self.substrate_mode: str | None = None
@@ -319,10 +337,19 @@ class VectorCore:
         self._totals = [0] * len(_KINDS)
         self._touches = [0] * len(_KINDS)
         self._fractional = 0
+        # Busy time and load integral per slot, and the slots in the
+        # order they first accrued (see ``accounting``). Busy time grows
+        # only by positive steps, so a slot has accrued once its busy
+        # time is not 0.0. ``_unaccrued`` sums ``_touches`` over the
+        # slots that have not.
+        self._busy = [0.0] * len(_KINDS)
+        self._load = [0.0] * len(_KINDS)
+        self._accrued: list[int] = []
+        self._unaccrued = 0
         # Derived by ``_compute_shares`` when the running set changes:
-        # busy/load-integral accrual pairs and each column's slowdown.
+        # ``(slot, load)`` accrual pairs and each column's slowdown.
         self._shares_dirty = True
-        self._accrual: list[tuple[ResourceKind, float]] = []
+        self._accrual: list[tuple[int, float]] = []
         # The dict ``_queued_frames`` built last, until ``queued_keys``
         # changes.
         self._queued_view: dict[str, list[OpTask]] | None = None
@@ -695,9 +722,8 @@ class VectorCore:
         computed once. Whole plans below 2**32 each, fewer than 2**21 of
         them, bound every partial sum to an integer below 2**53, so the
         integer totals are exact. The adds are summed in running order
-        otherwise, and while a touched kind is not yet a key of ``busy``:
-        the accrual's first-touch order is then the key order of ``busy``
-        and ``load_integral``."""
+        otherwise, and while a touched slot has not accrued yet: the
+        accrual's first-touch order then sets the slots' accrual order."""
         self._shares_dirty = False
         plans = self._running_plans
         if len(plans) == 1:
@@ -706,22 +732,15 @@ class VectorCore:
             self._accrual = plan.solo_accrual
             plan.column.slowdown = plan.solo_slowdown
             return
-        touches = self._touches
-        busy = self.busy
-        if (
-            self._fractional
-            or len(plans) >= 1 << 21
-            or any(
-                count and kind not in busy
-                for kind, count in zip(_KINDS, touches)
-            )
-        ):
+        if self._fractional or len(plans) >= 1 << 21 or self._unaccrued:
             loads, self._accrual = _sum_loads([plan.adds for plan in plans])
         else:
             loads = [float(total) for total in self._totals]
             self._accrual = [
-                (kind, min(load, 1.0))
-                for kind, load, count in zip(_KINDS, loads, touches)
+                (slot, min(load, 1.0))
+                for slot, (load, count) in enumerate(
+                    zip(loads, self._touches)
+                )
                 if count
             ]
         for column in self._present:
@@ -740,15 +759,16 @@ class VectorCore:
         self._running_seqs.append(seq)
         rem, limit = self.remaining[uid], self._limit(uid)
         column = plan.column
-        if column.rems:
-            column.low = min(column.low, rem)
+        rems = column.rems
+        if rems:
             column.high = max(column.high, limit)
         else:
-            column.low, column.high = rem, limit
+            column.high = limit
             self._present.append(column)
-        column.rems.append(rem)
-        column.limits.append(limit)
-        column.seqs.append(seq)
+        at = bisect_right(rems, rem)
+        rems.insert(at, rem)
+        column.limits.insert(at, limit)
+        column.seqs.insert(at, seq)
         self._count(plan, 1)
 
     def _count(self, plan: _SharePlan, sign: int) -> None:
@@ -756,25 +776,47 @@ class VectorCore:
         if plan.whole is None:
             self._fractional += sign
         else:
-            totals, touches = self._totals, self._touches
+            totals, touches, busy = self._totals, self._touches, self._busy
             for slot, amount in plan.whole:
                 totals[slot] += sign * amount
                 touches[slot] += sign
+                if not busy[slot]:
+                    self._unaccrued += sign
         self._shares_dirty = True
+
+    def _first_accrual(self, slot: int) -> None:
+        """Note that ``slot`` accrues for the first time now."""
+        self._accrued.append(slot)
+        self._unaccrued -= self._touches[slot]
+
+    def accounting(
+        self,
+    ) -> tuple[dict[ResourceKind, float], dict[ResourceKind, float]]:
+        """Busy time and load integral per resource kind, keyed in the
+        order the kinds first accrued, as the reference loop's dicts."""
+        busy, load = self._busy, self._load
+        return (
+            {_KINDS[slot]: busy[slot] for slot in self._accrued},
+            {_KINDS[slot]: load[slot] for slot in self._accrued},
+        )
 
     def _finish(self, due: list[_Column]) -> None:
         """Complete the finished tasks of the ``due`` columns in running
-        order; each one's remaining work goes back to ``remaining``."""
+        order; each one's remaining work goes back to ``remaining``. Only
+        a column's prefix with work up to its largest limit can hold a
+        finished task (see :class:`_Column`)."""
         finished: list[tuple[int, float]] = []
         for column in due:
             rems, limits = column.rems, column.limits
-            for index in reversed(
-                [at for at, rem in enumerate(rems) if rem <= limits[at]]
-            ):
+            for index in reversed([
+                at
+                for at in range(bisect_right(rems, column.high))
+                if rems[at] <= limits[at]
+            ]):
                 finished.append((column.seqs.pop(index), rems.pop(index)))
                 del limits[index]
             if rems:
-                column.low, column.high = min(rems), max(limits)
+                column.high = max(limits)
             else:
                 self._present.remove(column)
         finished.sort()
@@ -848,10 +890,8 @@ class VectorCore:
         # generic loop — the wins are lookup elimination and skipping
         # the pending-heap round-trip for a successor we dispatch on the
         # spot.
-        busy_get = self.busy.get
-        busy_set = self.busy.__setitem__
-        li_get = self.load_integral.get
-        li_set = self.load_integral.__setitem__
+        busy = self._busy
+        load = self._load
         running = self.running
         ready = self.ready
         remaining = self.remaining
@@ -915,9 +955,11 @@ class VectorCore:
             # successor there — one reference iteration, condensed.
             events += 1
             if rem > 0.0:
-                for kind, amount in plan.solo_accrual:
-                    busy_set(kind, busy_get(kind, 0.0) + rem)
-                    li_set(kind, li_get(kind, 0.0) + amount * rem)
+                for slot, amount in plan.solo_accrual:
+                    if not busy[slot]:
+                        self._first_accrual(slot)
+                    busy[slot] += rem
+                    load[slot] += amount * rem
                 now += rem
             remaining[uid] = 0.0
             running.clear()
@@ -987,7 +1029,7 @@ class VectorCore:
             # it takes the entry's place, and the shares stand.
             column = entry_plan.column
             if running and plan is entry_plan:
-                column.rems[0] = column.low = remaining[uid]
+                column.rems[0] = remaining[uid]
                 column.limits[0] = column.high = self._limit(uid)
             else:
                 del column.rems[:], column.limits[:], column.seqs[:]
@@ -1109,7 +1151,7 @@ class VectorCore:
             # A positive slowdown keeps the order of remaining work, so a
             # class's least ``rem * slowdown`` is its least ``rem`` times
             # the slowdown: the same float as the reference's minimum.
-            dt = min(column.low * column.slowdown for column in present)
+            dt = min(column.rems[0] * column.slowdown for column in present)
             release = self._pending_release()
             if release is not None:
                 dt = min(dt, release - self.now)
@@ -1126,48 +1168,43 @@ class VectorCore:
             dt = max(dt, 0.0)
 
             if dt > 0.0:
-                busy = self.busy
-                load_integral = self.load_integral
-                for kind, amount in self._accrual:
-                    busy[kind] = busy.get(kind, 0.0) + dt
-                    load_integral[kind] = (
-                        load_integral.get(kind, 0.0) + amount * dt
-                    )
+                busy = self._busy
+                load = self._load
+                for slot, amount in self._accrual:
+                    if not busy[slot]:
+                        self._first_accrual(slot)
+                    busy[slot] += dt
+                    load[slot] += amount * dt
                 for column in present:
                     step = dt / column.slowdown
-                    rems = column.rems = [rem - step for rem in column.rems]
-                    column.low = min(rems)
+                    column.rems = [rem - step for rem in column.rems]
                 self.now += dt
             # Only a column whose least work is within its largest limit
             # can hold a finished task.
-            due = [column for column in present if column.low <= column.high]
+            due = [
+                column for column in present if column.rems[0] <= column.high
+            ]
             if due:
                 self._finish(due)
 
     # -- materialized-run assembly -----------------------------------------------------
     def build_timeline(self) -> Timeline:
-        by_uid = self.by_uid
         start = self.start
         end = self.end
-        segments = tuple(
+        order = self.completion_order
+        segments = tuple([
             TimelineSegment(
-                uid=uid,
-                name=task.name,
-                stream=task.stream,
-                frame=task.frame,
-                mode=task.mode,
-                start_s=start[uid],
-                end_s=end[uid],
-                seconds=task.seconds,
+                uid, task.name, task.stream, task.frame, task.mode,
+                start[uid], end[uid], task.seconds,
             )
-            for uid in self.completion_order
-            if (task := by_uid[uid]) is not None
-        )
+            for uid, task in zip(order, map(self.by_uid.__getitem__, order))
+        ])
+        busy, load_integral = self.accounting()
         return Timeline(
             segments=segments,
             makespan_s=self.now,
-            busy_s=self.busy,
-            load_integral_s=self.load_integral,
+            busy_s=busy,
+            load_integral_s=load_integral,
             mode_switches=self.mode_switches,
             switch_overhead_s=self.switch_overhead,
             drops=tuple(self.drop_records),

@@ -23,13 +23,19 @@ engine and result store like every other scenario knob.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 from repro.common.codec import WHEN_SET, Codec
 from repro.errors import ConfigError
 
 #: The admission-control policy kinds a scenario may declare.
 QOS_KINDS = ("drop_late", "queue_cap", "shed", "abort_late")
+
+#: Fields of a ``DropLatePolicy`` index entry.
+_EXPIRY, _POSITION = itemgetter(0), itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -96,8 +102,9 @@ class AdmissionPolicy:
     def next_event(self, now: float, queued: dict) -> float | None:
         """The next time (> now) this policy's decision could change
         between releases/completions, or ``None``. The engine bounds its
-        time step by it so deadline expiries are hit exactly. ``queued``
-        is shared as in :meth:`review` and must not be mutated either."""
+        time step by it, so the expiries of heads in ``queued`` are hit
+        exactly. ``queued`` is shared as in :meth:`review` and must not
+        be mutated either."""
         return None
 
     def review_inflight(self, now: float, inflight: dict) -> list:
@@ -119,32 +126,62 @@ class DropLatePolicy(AdmissionPolicy):
     """Drop a queued frame once its deadline (plus slack) has slipped.
 
     A frame that has not *started* by ``release + deadline + slack`` can
-    only finish late, so it is shed the moment that expiry passes (the
-    engine schedules an event at the expiry, so drop times are exact).
+    only finish late, so it is dropped at the first event at or after
+    that expiry. Drop times are exact only for heads already queued:
+    ``next_event`` bounds the engine's step by their expiries. A head
+    that arrives while it waits behind its stream's running frame adds
+    no event at its arrival, so its expiry bounds no step until some
+    other event passes. Six single-task frames of 1 s each, arriving
+    every 0.1 s with a 0.05 s deadline, drop frames 1-5 (expiries
+    0.15-0.55 s) all at 1.0 s, when frame 0 completes.
+
+    The policy keeps an index of the last queued view it was given: its
+    heads' expiries, sorted, each with the head's position in the view.
+    Views are compared by identity, and the index holds its view, so
+    that identity cannot be reused while the index lives. ``next_event``
+    bisects for the first expiry after ``now``; ``review`` takes the
+    expiries at or before ``now`` and returns their heads in view order.
     """
+
+    def __init__(self, spec: QosSpec | None = None) -> None:
+        super().__init__(spec)
+        # The last view and its ``(expiry, position, head)`` entries in
+        # expiry order, swapped as one tuple so that no reader pairs one
+        # view with another's entries.
+        self._index: tuple = (None, [])
 
     def _expiry(self, head) -> float | None:
         if head.deadline_s is None:
             return None
         return head.release_s + head.deadline_s + self.spec.slack_s
 
+    def _entries(self, queued: dict) -> list:
+        view, entries = self._index
+        if view is not queued:
+            slack = self.spec.slack_s
+            # Each expiry is ``_expiry``'s sum, in its order.
+            entries = [
+                (head.release_s + head.deadline_s + slack, position, head)
+                for position, head in enumerate(
+                    chain.from_iterable(queued.values())
+                )
+                if head.deadline_s is not None
+            ]
+            # Stable: equal expiries stay in view order.
+            entries.sort(key=_EXPIRY)
+            self._index = (queued, entries)
+        return entries
+
     def review(self, now: float, queued: dict) -> list:
-        drops = []
-        for heads in queued.values():
-            for head in heads:
-                expiry = self._expiry(head)
-                if expiry is not None and now >= expiry:
-                    drops.append((head, "deadline_slip"))
-        return drops
+        entries = self._entries(queued)
+        late = entries[:bisect_right(entries, now, key=_EXPIRY)]
+        late.sort(key=_POSITION)
+        return [(head, "deadline_slip") for _, _, head in late]
 
     def next_event(self, now: float, queued: dict) -> float | None:
-        horizon = None
-        for heads in queued.values():
-            for head in heads:
-                expiry = self._expiry(head)
-                if expiry is not None and expiry > now:
-                    horizon = expiry if horizon is None else min(horizon, expiry)
-        return horizon
+        entries = self._entries(queued)
+        at = bisect_right(entries, now, key=_EXPIRY)
+        return entries[at][0] if at < len(entries) else None
 
 
 class QueueCapPolicy(AdmissionPolicy):

@@ -209,11 +209,12 @@ def serve_streaming(
         stats_out["peak_live"] = core.peak_live
         stats_out["events"] = core.events
 
+    busy, load_integral = core.accounting()
     shell = Timeline(
         segments=(),
         makespan_s=core.now,
-        busy_s=core.busy,
-        load_integral_s=core.load_integral,
+        busy_s=busy,
+        load_integral_s=load_integral,
         mode_switches=core.mode_switches,
         switch_overhead_s=core.switch_overhead,
         drops=(),

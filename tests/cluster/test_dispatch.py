@@ -16,6 +16,7 @@ from repro.cluster import (
     run_sweep_remote,
     split_scenario,
 )
+from repro.cluster.dispatch import _REDISPATCH_ERRORS
 from repro.errors import ClusterError, ConfigError
 from repro.serving import ArrivalSpec
 from repro.sweep import ResultStore, SweepSpec, expand, run_sweep
@@ -201,6 +202,22 @@ class TestFailureRedispatch:
                 (one.address, two.address),
                 session=_fresh_session(),
             )
+
+    def test_all_servers_dead_names_them_and_chains_the_cause(
+        self, two_servers
+    ):
+        one, two = two_servers
+        one.close()
+        two.close()
+        with pytest.raises(ClusterError, match="dead or draining") as info:
+            run_sweep_remote(
+                GRID,
+                (one.address, two.address),
+                session=_fresh_session(),
+            )
+        assert one.address in str(info.value)
+        assert two.address in str(info.value)
+        assert isinstance(info.value.__cause__, _REDISPATCH_ERRORS)
 
     def test_no_servers_is_config_error(self):
         with pytest.raises(ConfigError, match="at least one server"):

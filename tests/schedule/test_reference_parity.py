@@ -9,7 +9,10 @@ reports write those dicts in that order.
 
 Tasks that finish in the same event complete in running order, however
 many of them share a class. The tie cases below pin that by name, and
-the grid arm draws durations and releases where ties are common.
+the grid arm draws durations and releases where ties are common. The
+heavy-class arm keeps at least 24 tasks of one share class running, so
+its column of remaining work is long, unsorted by dispatch, and entered
+part-way through.
 """
 
 import pytest
@@ -63,10 +66,10 @@ TIE_GRID = {
 }
 
 
-def _assert_parity(tasks):
+def _assert_parity(tasks, policies=POLICY_NAMES, qos_choices=QOS_CHOICES):
     for interference in (None, MATRIX):
-        for policy in POLICY_NAMES:
-            for qos in QOS_CHOICES:
+        for policy in policies:
+            for qos in qos_choices:
                 scheduler = TimelineScheduler(
                     policy, qos=make_qos(qos), interference=interference
                 )
@@ -92,6 +95,55 @@ def test_core_matches_reference(tasks):
 @settings(max_examples=60, deadline=None)
 def test_core_matches_reference_on_ties(tasks):
     _assert_parity(tasks)
+
+
+#: The heavy-class arm's durations and late releases: few values, so
+#: durations tie while their charged work, and so their completion
+#: limits, differ between values; late tasks enter the class part-way.
+HEAVY_SECONDS = st.sampled_from((0.25, 0.5, 1.0, 1.5, 3.0))
+HEAVY_RELEASES = st.sampled_from((0.0, 0.4, 1.1, 2.0))
+HEAVY_CLAIMS = (
+    (ResourceClaim(ResourceKind.SIMD),),
+    (ResourceClaim(ResourceKind.ARRAY), ResourceClaim(ResourceKind.SIMD)),
+)
+
+
+@st.composite
+def heavy_class(draw):
+    """Tasks 1-24 claim SIMD and start at 0 s: under ``fifo`` and
+    ``priority`` (equal weights) they are one share class. Task 0, first
+    in running order, and 0-16 later tasks, some depending on an earlier
+    one, draw SIMD or ARRAY+SIMD claims."""
+    count = 25 + draw(st.integers(min_value=0, max_value=16))
+    tasks = []
+    for uid in range(count):
+        late = uid > 24
+        deps = ()
+        if late and draw(st.booleans()):
+            deps = (draw(st.integers(min_value=0, max_value=uid - 1)),)
+        tasks.append(
+            OpTask(
+                uid=uid,
+                name=f"t{uid}",
+                seconds=draw(HEAVY_SECONDS),
+                claims=(
+                    HEAVY_CLAIMS[0]
+                    if 0 < uid <= 24
+                    else draw(st.sampled_from(HEAVY_CLAIMS))
+                ),
+                stream=f"s{uid % 3}",
+                deps=deps,
+                release_s=draw(HEAVY_RELEASES) if late else 0.0,
+                weight=2.0,
+            )
+        )
+    return tasks
+
+
+@given(tasks=heavy_class())
+@settings(max_examples=40, deadline=None)
+def test_core_matches_reference_on_a_heavy_class(tasks):
+    _assert_parity(tasks, policies=("fifo", "priority"), qos_choices=(None,))
 
 
 def _simd_task(uid, name, seconds, stream, deps=(), release_s=0.0):

@@ -2,6 +2,9 @@
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.errors import ConfigError
 from repro.api.results import ServingReport
 from repro.schedule.resources import ResourceClaim, ResourceKind
@@ -143,6 +146,146 @@ class TestDropLate:
         )
         _plan, timeline = run(spec)
         assert not timeline.drops
+
+
+def _head(uid, stream, release, deadline):
+    return OpTask(
+        uid=uid,
+        name=f"{stream}{uid}",
+        seconds=0.5,
+        claims=SIMD,
+        stream=stream,
+        release_s=release,
+        deadline_s=deadline,
+        frame_head=True,
+    )
+
+
+def oracle_expiry(head, slack):
+    if head.deadline_s is None:
+        return None
+    return head.release_s + head.deadline_s + slack
+
+
+def oracle_review(now, queued, slack):
+    """Every queued head, in view order, whose expiry is at or before
+    ``now``: the linear scan the expiry index replaced."""
+    drops = []
+    for heads in queued.values():
+        for head in heads:
+            expiry = oracle_expiry(head, slack)
+            if expiry is not None and now >= expiry:
+                drops.append((head, "deadline_slip"))
+    return drops
+
+
+def oracle_next_event(now, queued, slack):
+    """The least expiry after ``now`` over every queued head, or None."""
+    horizon = None
+    for heads in queued.values():
+        for head in heads:
+            expiry = oracle_expiry(head, slack)
+            if expiry is not None and expiry > now:
+                horizon = expiry if horizon is None else min(horizon, expiry)
+    return horizon
+
+
+#: Few releases and deadlines, so expiries tie and, within a stream and
+#: across streams, often run against view order.
+_RELEASES = st.sampled_from((0.0, 0.1, 0.25, 0.5))
+_DEADLINES = st.sampled_from((None, 0.05, 0.15, 0.4, 0.9))
+
+
+@st.composite
+def queued_views(draw):
+    """A queued-frame view: 1-3 streams in drawn order, each with 0-5
+    heads in arrival order."""
+    streams = draw(
+        st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True)
+    )
+    uid = 0
+    queued = {}
+    for stream in streams:
+        releases = sorted(draw(st.lists(_RELEASES, max_size=5)))
+        queued[stream] = [
+            _head(uid + at, stream, release, draw(_DEADLINES))
+            for at, release in enumerate(releases)
+        ]
+        uid += len(releases)
+    return queued
+
+
+def _times(queued, slack):
+    """Probe times: every expiry exactly and 0.01 s either side."""
+    times = {0.0, 2.0}
+    for heads in queued.values():
+        for head in heads:
+            expiry = oracle_expiry(head, slack)
+            if expiry is not None:
+                times.update((expiry, expiry - 0.01, expiry + 0.01))
+    return sorted(times)
+
+
+class TestDropLateIndex:
+    """``DropLatePolicy`` against the linear scans its index replaced."""
+
+    @given(
+        first=queued_views(),
+        second=queued_views(),
+        slack=st.sampled_from((0.0, 0.05, 0.3)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_linear_scans(self, first, second, slack):
+        policy = make_qos(QosSpec(kind="drop_late", slack_s=slack))
+        # One view asked about at many times (the index is reused), the
+        # same view again, then a new view.
+        for queued in (first, first, second):
+            for now in _times(queued, slack):
+                assert policy.review(now, queued) == oracle_review(
+                    now, queued, slack
+                )
+                assert policy.next_event(now, queued) == oracle_next_event(
+                    now, queued, slack
+                )
+
+    def test_drops_in_view_order_not_expiry_order(self):
+        """``a``'s heads expire after ``b``'s and against their arrival
+        order; drops still come stream by stream, then by arrival."""
+        queued = {
+            "a": [_head(0, "a", 0.0, 0.9), _head(1, "a", 0.1, 0.1)],
+            "b": [_head(2, "b", 0.0, 0.05), _head(3, "b", 0.25, None)],
+        }
+        policy = make_qos("drop_late")
+        drops = policy.review(1.0, queued)
+        assert [head.uid for head, _ in drops] == [0, 1, 2]
+        assert drops == oracle_review(1.0, queued, 0.0)
+        assert policy.next_event(1.0, queued) is None
+
+    def test_now_at_an_expiry_drops_it_and_looks_past_it(self):
+        queued = {
+            "a": [_head(0, "a", 0.0, 0.25), _head(1, "a", 0.25, 0.25)],
+            "b": [_head(2, "b", 0.0, 0.25)],
+        }
+        policy = make_qos(QosSpec(kind="drop_late", slack_s=0.25))
+        # Heads 0 and 2 share the expiry 0.5 s; head 1's is 0.75 s.
+        assert policy.next_event(0.0, queued) == 0.5
+        assert policy.review(0.5, queued) == [
+            (queued["a"][0], "deadline_slip"),
+            (queued["b"][0], "deadline_slip"),
+        ]
+        assert policy.next_event(0.5, queued) == 0.75
+
+    def test_a_new_view_replaces_the_index(self):
+        policy = make_qos("drop_late")
+        old = {"a": [_head(0, "a", 0.0, 0.1)]}
+        assert policy.next_event(0.0, old) == 0.1
+        assert policy.next_event(0.0, old) == 0.1
+        # Equal contents in a new dict, then a different queue.
+        assert policy.next_event(0.0, dict(old)) == 0.1
+        new = {"a": [_head(1, "a", 0.5, 0.1)], "b": []}
+        assert policy.next_event(0.0, new) == 0.6
+        assert policy.review(0.3, new) == []
+        assert policy.review(0.3, old) == [(old["a"][0], "deadline_slip")]
 
 
 class TestQueueCap:
