@@ -18,6 +18,15 @@ A cache lives only in the process that fills it. An entry is valid only
 for the simulator that produced it, so nothing is written to disk;
 entries leave a process only as a :class:`CacheEntries` snapshot, to the
 sweep or cluster process that asked for the work.
+
+A third table holds the priced non-GEMM operators: one dict per
+:class:`~repro.config.GpuConfig`, from operator to the
+:class:`~repro.platforms.base.OpStats` of its SIMD roofline and energy,
+which read only the GPU and the op. It saves repricing an operator that
+a model, or another model, already lowered. It is neither counted nor
+shipped: :class:`CacheStats`, ``len()``, :meth:`TimingCache.export_entries`
+and :meth:`TimingCache.merge` ignore it, and :meth:`TimingCache.clear`
+empties it, so a fresh or cleared cache is a cold run that prices again.
 """
 
 from __future__ import annotations
@@ -27,12 +36,14 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable
 
 from repro.common.codec import Codec
-from repro.config import DataType, SystemConfig
+from repro.config import DataType, GpuConfig, SystemConfig
 
 if TYPE_CHECKING:  # imported only for annotations; avoids import cycles
+    from repro.dnn.ops import Operator
     from repro.gemm.executor import GemmTiming
     from repro.gemm.problem import GemmProblem
     from repro.gpu.sm import SmResult
+    from repro.platforms.base import OpStats
     from repro.systolic.dataflow import Dataflow
 
 #: Cache key of one fully-specified GEMM timing.
@@ -137,12 +148,16 @@ class TimingCache:
     * **windows** — the expensive cycle-level sample-window simulations,
       which depend only on (system, backend, scheduler, dataflow, dtype,
       iterations), not on the layer shape.
+
+    Beside them, uncounted, the priced non-GEMM operators per GPU
+    (:meth:`op_table`).
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._timings: dict[TimingKey, GemmTiming] = {}
         self._windows: dict[WindowKey, SmResult] = {}
+        self._ops: dict[GpuConfig, dict[Operator, OpStats]] = {}
         self._hits = 0
         self._misses = 0
         self._window_hits = 0
@@ -203,6 +218,23 @@ class TimingCache:
     def put_window(self, key: WindowKey, result: "SmResult") -> None:
         with self._lock:
             self._windows[key] = result
+
+    # -- priced operators --------------------------------------------------------------
+    def op_table(self, gpu: GpuConfig) -> "dict[Operator, OpStats]":
+        """The priced non-GEMM operators of ``gpu``, operator to stats.
+
+        Every platform on an equal GPU gets the same dict. A platform
+        fetches it once, so a lookup hashes only the operator. Entries are
+        read and written without the lock: a dict get or set is atomic,
+        and two threads that price one op store equal stats. Every
+        lowering that hits an entry shares its :class:`EnergyBreakdown`,
+        so nothing may mutate an :class:`OpStats`' energy once priced.
+        """
+        with self._lock:
+            table = self._ops.get(gpu)
+            if table is None:
+                table = self._ops[gpu] = {}
+            return table
 
     # -- sharing across processes ------------------------------------------------------
     def export_entries(self) -> CacheEntries:
@@ -279,6 +311,9 @@ class TimingCache:
         with self._lock:
             self._timings.clear()
             self._windows.clear()
+            # In place: platforms hold their GPU's table.
+            for table in self._ops.values():
+                table.clear()
             self._hits = self._misses = 0
             self._window_hits = self._window_misses = 0
 

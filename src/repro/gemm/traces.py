@@ -147,8 +147,9 @@ def build_simd_gemm_kernel(
     stg_ops = _writeback_ops_per_warp(plan, SIMD_WARPS)
 
     programs: list[WarpProgram] = []
+    instructions: dict = {}  # shared by every warp of this kernel
     for warp_id in range(SIMD_WARPS):
-        builder = ProgramBuilder(f"simd_gemm_w{warp_id}")
+        builder = ProgramBuilder(f"simd_gemm_w{warp_id}", instructions)
         builder.mov(_ADDR, 0, tag="init")
         _emit_stage(builder, warp_id, 0, ldg_ops, _ADDR)
         builder.bar(tag="prologue")
@@ -232,8 +233,9 @@ def build_tc_gemm_kernel(
     stg_ops = _writeback_ops_per_warp(plan, TC_WARPS)
 
     programs: list[WarpProgram] = []
+    instructions: dict = {}  # shared by every warp of this kernel
     for warp_id in range(TC_WARPS):
-        builder = ProgramBuilder(f"tc_gemm_w{warp_id}")
+        builder = ProgramBuilder(f"tc_gemm_w{warp_id}", instructions)
         builder.mov(_ADDR, 0, tag="init")
         _emit_stage(builder, warp_id, 0, ldg_ops, _ADDR)
         builder.bar(tag="prologue")

@@ -30,7 +30,9 @@ stall order included.
 Within a cycle a unit's refusal holds: ``can_accept`` reads only the cycle,
 ``free_at`` and ``queue_depth``, and only ``accept`` moves ``free_at``, and
 only later. So once a unit refuses, later warps that want it in the same
-cycle are refused without asking again.
+cycle are refused without asking again. An admission holds too, until the
+unit books work: a unit that admitted a positive cost and has accepted
+nothing since admits the next warp in that cycle without the call.
 """
 
 from __future__ import annotations
@@ -393,8 +395,10 @@ class StreamingMultiprocessor:
 
             issued_any = False
             stalled: list[str] = []
-            # Units that refused this cycle, by name.
+            # Units that refused this cycle, and units that admitted a
+            # positive cost this cycle and have booked nothing since.
             refused: set[str] = set()
+            admitted: set[str] = set()
             for scheduler_id, policy in enumerate(policies):
                 if refresh[scheduler_id] <= now:
                     ready: list[int] = []
@@ -451,36 +455,46 @@ class StreamingMultiprocessor:
                             resources["lsu"].accept(
                                 now, outcome.lsu_overhead_cycles
                             )
+                            admitted.discard("lsu")
                     else:
+                        # Every unit cost and operand read or write here is
+                        # positive, so an admission may be kept.
                         if unit_name is not None:
                             resource = resources[unit_name]
-                            if unit_name in refused or not resource.can_accept(
-                                now, unit_cost
+                            if unit_name not in admitted:
+                                if unit_name in refused or not resource.can_accept(
+                                    now, unit_cost
+                                ):
+                                    refused.add(unit_name)
+                                    blocked_reason = f"stall_{unit_name}"
+                                    continue
+                                admitted.add(unit_name)
+                        if reads and "rf_read" not in admitted:
+                            if "rf_read" in refused or not rf_read.can_accept(
+                                now, reads * read_cost
                             ):
-                                refused.add(unit_name)
-                                blocked_reason = f"stall_{unit_name}"
+                                refused.add("rf_read")
+                                blocked_reason = "stall_rf_read"
                                 continue
-                        if reads and (
-                            "rf_read" in refused
-                            or not rf_read.can_accept(now, reads * read_cost)
-                        ):
-                            refused.add("rf_read")
-                            blocked_reason = "stall_rf_read"
-                            continue
-                        if writes and (
-                            "rf_write" in refused
-                            or not rf_write.can_accept(now, writes * write_cost)
-                        ):
-                            refused.add("rf_write")
-                            blocked_reason = "stall_rf_write"
-                            continue
+                            admitted.add("rf_read")
+                        if writes and "rf_write" not in admitted:
+                            if "rf_write" in refused or not rf_write.can_accept(
+                                now, writes * write_cost
+                            ):
+                                refused.add("rf_write")
+                                blocked_reason = "stall_rf_write"
+                                continue
+                            admitted.add("rf_write")
                         if unit_name is not None:
                             resource.accept(now, unit_cost)
+                            admitted.discard(unit_name)
                         if reads:
                             rf_read.accept(now, reads * read_cost)
+                            admitted.discard("rf_read")
                             regfile.total_reads += reads
                         if writes:
                             rf_write.accept(now, writes * write_cost)
+                            admitted.discard("rf_write")
                             regfile.total_writes += writes
 
                     # The instruction issues.

@@ -87,6 +87,12 @@ _OPCODE_LATENCY = {
 }
 
 
+#: Opcodes that carry a :class:`MemAccess`; no other opcode may.
+_MEMORY_OPCODES = frozenset(
+    (Opcode.LDS, Opcode.STS, Opcode.LDG, Opcode.STG, Opcode.LDC)
+)
+
+
 class MemSpace(enum.Enum):
     SHARED = "shared"
     GLOBAL = "global"
@@ -176,9 +182,7 @@ class Instruction:
     payload: tuple[int, ...] = field(default=())  # LSMA: (k_extent, unit_id)
 
     def __post_init__(self) -> None:
-        needs_mem = self.opcode in (
-            Opcode.LDS, Opcode.STS, Opcode.LDG, Opcode.STG, Opcode.LDC,
-        )
+        needs_mem = self.opcode in _MEMORY_OPCODES
         if needs_mem and self.mem is None:
             raise ValueError(f"{self.opcode.value} requires a memory descriptor")
         if not needs_mem and self.mem is not None:

@@ -43,11 +43,23 @@ class ProgramBuilder:
     Register ids are plain ints chosen by the caller; ``fresh()`` hands out
     ids above 1000 for temporaries so they never collide with the caller's
     numbering scheme.
+
+    The register-only emitters build each distinct instruction once per
+    ``instructions`` table, keyed by its arguments ``(opcode, dst, srcs,
+    group, tag, payload)``: the warp builders of one kernel pass one dict,
+    so a loop body repeated across warps and iterations is built once.
+    Without a table a builder gets its own. Instructions are frozen and
+    the SM keys its issue records by value, so a shared object simulates
+    exactly like a fresh equal one. Memory instructions are built on every
+    call; their caller hands in a ready :class:`MemAccess`.
     """
 
-    def __init__(self, name: str) -> None:
+    def __init__(
+        self, name: str, instructions: dict[tuple, Instruction] | None = None
+    ) -> None:
         self._program = WarpProgram(name)
         self._next_temp = 1000
+        self._instructions = {} if instructions is None else instructions
 
     def fresh(self) -> int:
         """Allocate a temporary register id."""
@@ -58,17 +70,36 @@ class ProgramBuilder:
         self._program.instructions.append(instruction)
         return self
 
+    def _register_only(
+        self,
+        opcode: Opcode,
+        dst: tuple[int, ...] = (),
+        srcs: tuple[int, ...] = (),
+        group: int | None = None,
+        tag: str = "",
+        payload: tuple[int, ...] = (),
+    ) -> "ProgramBuilder":
+        """Emit the table's instruction for these arguments, built on first use."""
+        key = (opcode, dst, srcs, group, tag, payload)
+        instruction = self._instructions.get(key)
+        if instruction is None:
+            instruction = self._instructions[key] = Instruction(
+                opcode, dst, srcs, group=group, tag=tag, payload=payload
+            )
+        self._program.instructions.append(instruction)
+        return self
+
     def ffma(self, dst: int, a: int, b: int, c: int, tag: str = "") -> "ProgramBuilder":
-        return self.emit(Instruction(Opcode.FFMA, (dst,), (a, b, c), tag=tag))
+        return self._register_only(Opcode.FFMA, (dst,), (a, b, c), tag=tag)
 
     def hfma2(self, dst: int, a: int, b: int, c: int, tag: str = "") -> "ProgramBuilder":
-        return self.emit(Instruction(Opcode.HFMA2, (dst,), (a, b, c), tag=tag))
+        return self._register_only(Opcode.HFMA2, (dst,), (a, b, c), tag=tag)
 
     def imad(self, dst: int, a: int, b: int, c: int, tag: str = "") -> "ProgramBuilder":
-        return self.emit(Instruction(Opcode.IMAD, (dst,), (a, b, c), tag=tag))
+        return self._register_only(Opcode.IMAD, (dst,), (a, b, c), tag=tag)
 
     def mov(self, dst: int, src: int, tag: str = "") -> "ProgramBuilder":
-        return self.emit(Instruction(Opcode.MOV, (dst,), (src,), tag=tag))
+        return self._register_only(Opcode.MOV, (dst,), (src,), tag=tag)
 
     def lds(self, dst: int, access: MemAccess, addr_reg: int, tag: str = "") -> "ProgramBuilder":
         return self.emit(Instruction(Opcode.LDS, (dst,), (addr_reg,), mem=access, tag=tag))
@@ -83,7 +114,7 @@ class ProgramBuilder:
         return self.emit(Instruction(Opcode.STG, (), (data_reg, addr_reg), mem=access, tag=tag))
 
     def hmma(self, dst: int, a: int, b: int, c: int, tag: str = "") -> "ProgramBuilder":
-        return self.emit(Instruction(Opcode.HMMA, (dst,), (a, b, c), tag=tag))
+        return self._register_only(Opcode.HMMA, (dst,), (a, b, c), tag=tag)
 
     def lsma(
         self,
@@ -102,27 +133,24 @@ class ProgramBuilder:
         controller; ``k_extent`` tells the timing model how many rows stream
         through the array.
         """
-        return self.emit(
-            Instruction(
-                Opcode.LSMA,
-                (),
-                (a_addr_reg, c_addr_reg, b_value_reg, height_reg),
-                payload=(k_extent, unit_id),
-                tag=tag,
-            )
+        return self._register_only(
+            Opcode.LSMA,
+            srcs=(a_addr_reg, c_addr_reg, b_value_reg, height_reg),
+            tag=tag,
+            payload=(k_extent, unit_id),
         )
 
     def bar(self, tag: str = "") -> "ProgramBuilder":
-        return self.emit(Instruction(Opcode.BAR, tag=tag))
+        return self._register_only(Opcode.BAR, tag=tag)
 
     def cgsync(self, group: int, tag: str = "") -> "ProgramBuilder":
-        return self.emit(Instruction(Opcode.CGSYNC, group=group, tag=tag))
+        return self._register_only(Opcode.CGSYNC, group=group, tag=tag)
 
     def smawait(self, tag: str = "") -> "ProgramBuilder":
-        return self.emit(Instruction(Opcode.SMAWAIT, tag=tag))
+        return self._register_only(Opcode.SMAWAIT, tag=tag)
 
     def exit(self) -> "ProgramBuilder":
-        return self.emit(Instruction(Opcode.EXIT))
+        return self._register_only(Opcode.EXIT)
 
     def build(self) -> WarpProgram:
         """Finalize and return the program (builder stays reusable)."""

@@ -12,7 +12,7 @@ lowered tasks. The Fig 3 breakdown groups ops into the paper's categories
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.common.stats import CounterBag
 from repro.config import GpuConfig, SystemConfig
@@ -25,6 +25,7 @@ from repro.dnn.ops import (
     RoIAlign,
 )
 from repro.energy.accounting import EnergyBreakdown, EnergyLedger
+from repro.gemm.cache import TimingCache
 from repro.schedule.resources import ResourceClaim, claims_for_mode
 from repro.schedule.timeline import OpTask, Timeline, TimelineScheduler
 
@@ -183,7 +184,10 @@ class Platform(abc.ABC):
         for node in graph.topological_order():
             stats = self.run_op(node.op)
             overhead = self.framework_overhead_s * node.op.kernel_launches
-            stats = replace(stats, seconds=stats.seconds + overhead)
+            stats = OpStats(
+                stats.op_name, stats.group, stats.mode,
+                stats.seconds + overhead, stats.flops, stats.energy,
+            )
             uid = len(tasks)
             tasks.append(
                 OpTask(
@@ -225,7 +229,10 @@ class GpuPlatformBase(Platform):
     Non-GEMM operators run in SIMD mode on every GPU variant (the whole
     point of SMA: programmability is preserved). Time is the classic
     roofline ``max(compute, memory)`` with the operator's calibrated
-    ``simd_efficiency``, plus the kernel launch overhead.
+    ``simd_efficiency``, plus the kernel launch overhead. Both read only
+    the GPU and the op, so each operator is priced once per ``cache``
+    (:meth:`TimingCache.op_table`); the subclasses' GEMM executors time
+    through the same cache.
     """
 
     def __init__(
@@ -234,6 +241,7 @@ class GpuPlatformBase(Platform):
         name: str,
         framework_overhead_s: float = DEFAULT_FRAMEWORK_OVERHEAD_S,
         interference=None,
+        cache: TimingCache | None = None,
     ) -> None:
         super().__init__(name, framework_overhead_s, interference=interference)
         if system.gpu is None:
@@ -241,6 +249,8 @@ class GpuPlatformBase(Platform):
         self.system = system
         self.gpu: GpuConfig = system.gpu
         self.ledger = EnergyLedger(self.gpu)
+        self.cache = cache if cache is not None else TimingCache()
+        self._priced = self.cache.op_table(self.gpu)
 
     def _simd_op_seconds(self, op: Operator) -> float:
         peak_flops = (
@@ -279,11 +289,14 @@ class GpuPlatformBase(Platform):
         return self.ledger.account(counters)
 
     def run_irregular(self, op: Operator) -> OpStats:
-        return OpStats(
-            op_name=op.name,
-            group=reporting_group(op),
-            mode="simd",
-            seconds=self._simd_op_seconds(op),
-            flops=op.flops,
-            energy=self._simd_op_energy(op),
-        )
+        stats = self._priced.get(op)
+        if stats is None:
+            stats = self._priced[op] = OpStats(
+                op_name=op.name,
+                group=reporting_group(op),
+                mode="simd",
+                seconds=self._simd_op_seconds(op),
+                flops=op.flops,
+                energy=self._simd_op_energy(op),
+            )
+        return stats

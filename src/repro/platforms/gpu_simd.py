@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.config import DataType, SystemConfig, system_gpu_simd
 from repro.dnn.ops import Operator
 from repro.gemm.cache import TimingCache
@@ -30,10 +28,11 @@ class GpuSimdPlatform(GpuPlatformBase):
     ) -> None:
         system = system or system_gpu_simd()
         super().__init__(
-            system, "gpu-simd", framework_overhead_s, interference=interference
+            system, "gpu-simd", framework_overhead_s, interference=interference,
+            cache=cache,
         )
         self.executor = GemmExecutor(
-            system, "simd", scheduler=scheduler, cache=cache
+            system, "simd", scheduler=scheduler, cache=self.cache
         )
 
     def run_op(self, op: Operator) -> OpStats:

@@ -8,8 +8,6 @@ transition; its cost (8 cycles per switch, paper SS IV-A) is what makes the
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.config import DataType, SystemConfig, system_sma
 from repro.dnn.ops import Operator
 from repro.gemm.cache import TimingCache
@@ -42,9 +40,10 @@ class GpuSmaPlatform(GpuPlatformBase):
     ) -> None:
         system = system or system_sma(units)
         super().__init__(system, f"gpu-{system.sma.units_per_sm}sma",
-                         framework_overhead_s, interference=interference)
+                         framework_overhead_s, interference=interference,
+                         cache=cache)
         self.executor = GemmExecutor(system, "sma", dataflow=dataflow,
-                                     scheduler=scheduler, cache=cache)
+                                     scheduler=scheduler, cache=self.cache)
         self.mode_tracker = ModeSwitchTracker(system.sma)
 
     def run_op(self, op: Operator) -> OpStats:
@@ -56,7 +55,10 @@ class GpuSmaPlatform(GpuPlatformBase):
             self.mode_tracker.account(
                 stats.seconds * self.gpu.clock_ghz * 1e9
             )
-            return replace(stats, seconds=stats.seconds + switch_seconds)
+            return OpStats(
+                stats.op_name, stats.group, stats.mode,
+                stats.seconds + switch_seconds, stats.flops, stats.energy,
+            )
         switch_cycles = self.mode_tracker.switch_to(ExecutionMode.SYSTOLIC)
         m, n, k = dims
         problem = GemmProblem(m, n, k, dtype=self.system.sma.dtype)

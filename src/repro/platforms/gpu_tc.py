@@ -37,10 +37,11 @@ class GpuTcPlatform(GpuPlatformBase):
     ) -> None:
         system = system or system_gpu_4tc()
         super().__init__(
-            system, "gpu-4tc", framework_overhead_s, interference=interference
+            system, "gpu-4tc", framework_overhead_s, interference=interference,
+            cache=cache,
         )
         self.executor = GemmExecutor(
-            system, "tc", scheduler=scheduler, cache=cache
+            system, "tc", scheduler=scheduler, cache=self.cache
         )
 
     def run_op(self, op: Operator) -> OpStats:

@@ -135,15 +135,18 @@ class SmaGemmMapper:
         )
 
         programs: list[WarpProgram] = []
+        instructions: dict = {}  # shared by every warp of this kernel
         for warp_id in range(self.num_warps):
             if warp_id in partition.loaders:
                 program = self._loader_program(
-                    warp_id, iterations, ldg_per_loader, stg_per_warp
+                    instructions, warp_id, iterations, ldg_per_loader,
+                    stg_per_warp,
                 )
             else:
                 unit_id = masters.index(warp_id) if warp_id in masters else None
                 program = self._computer_program(
-                    warp_id, iterations, shape, unit_id, stg_per_warp
+                    instructions, warp_id, iterations, shape, unit_id,
+                    stg_per_warp,
                 )
             programs.append(program)
 
@@ -157,12 +160,13 @@ class SmaGemmMapper:
 
     def _loader_program(
         self,
+        instructions: dict,
         warp_id: int,
         iterations: int,
         ldg_per_loader: int,
         stg_per_warp: int,
     ) -> WarpProgram:
-        builder = ProgramBuilder(f"sma_loader_w{warp_id}")
+        builder = ProgramBuilder(f"sma_loader_w{warp_id}", instructions)
         addr = 1
         builder.mov(addr, 0, tag="base_addr")
         # Prologue: fill buffer 0.
@@ -177,13 +181,14 @@ class SmaGemmMapper:
 
     def _computer_program(
         self,
+        instructions: dict,
         warp_id: int,
         iterations: int,
         shape: SmaKernelShape,
         unit_id: int | None,
         stg_per_warp: int,
     ) -> WarpProgram:
-        builder = ProgramBuilder(f"sma_compute_w{warp_id}")
+        builder = ProgramBuilder(f"sma_compute_w{warp_id}", instructions)
         a_addr, c_addr, b_val, height = 1, 2, 3, 4
         builder.mov(a_addr, 0)
         builder.mov(c_addr, 0)

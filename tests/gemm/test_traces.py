@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import DataType
+from repro.config import DataType, system_sma
 from repro.errors import MappingError
 from repro.gemm.problem import GemmProblem
 from repro.gemm.tiling import plan_gemm
@@ -15,6 +15,9 @@ from repro.gemm.traces import (
     build_tc_gemm_kernel,
 )
 from repro.isa.instructions import Opcode
+from repro.isa.program import ProgramBuilder
+from repro.sma.mapping import SmaGemmMapper
+from repro.systolic.dataflow import Dataflow
 
 
 def _simd_plan():
@@ -91,3 +94,68 @@ class TestTcTrace:
     def test_iterations_validated(self):
         with pytest.raises(MappingError):
             build_tc_gemm_kernel(_tc_plan(), iterations=0)
+
+
+def _sma_build(dataflow, sync_per_lsma=False):
+    system = system_sma(3)
+    mapper = SmaGemmMapper(
+        system.gpu, system.sma, dataflow=dataflow, sync_per_lsma=sync_per_lsma
+    )
+    plan = plan_gemm(GemmProblem(128, 128, 128), k_slice=system.sma.array_rows)
+    return lambda iterations: mapper.build_kernel(plan, iterations)
+
+
+#: Every production kernel build, by iterations.
+_BUILDS = {
+    "simd": lambda iterations: build_simd_gemm_kernel(_simd_plan(), iterations),
+    "tc": lambda iterations: build_tc_gemm_kernel(_tc_plan(), iterations),
+    "sma-sb": _sma_build(Dataflow.SEMI_BROADCAST_WS),
+    "sma-ws": _sma_build(Dataflow.WEIGHT_STATIONARY),
+    "sma-sync": _sma_build(Dataflow.SEMI_BROADCAST_WS, sync_per_lsma=True),
+}
+
+
+class _Forgetful(dict):
+    """An instruction table that keeps nothing, so every emit builds."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _objects(kernel):
+    return {id(inst) for program in kernel.programs for inst in program}
+
+
+def _length(kernel):
+    return sum(len(program) for program in kernel.programs)
+
+
+class TestSharedInstructionTable:
+    """The warps of one build share each distinct register-only instruction."""
+
+    @pytest.mark.parametrize("iterations", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kernel", list(_BUILDS))
+    def test_shared_build_equals_a_build_of_fresh_objects(
+        self, monkeypatch, kernel, iterations
+    ):
+        shared = _BUILDS[kernel](iterations)
+        init = ProgramBuilder.__init__
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                ProgramBuilder,
+                "__init__",
+                lambda builder, name, instructions=None: init(
+                    builder, name, _Forgetful()
+                ),
+            )
+            fresh = _BUILDS[kernel](iterations)
+        assert len(_objects(fresh)) == _length(fresh)
+        assert [p.name for p in shared.programs] == [p.name for p in fresh.programs]
+        for ours, theirs in zip(shared.programs, fresh.programs):
+            assert list(map(repr, ours)) == list(map(repr, theirs))
+
+    @pytest.mark.parametrize("kernel", list(_BUILDS))
+    def test_sharing_is_real_and_ends_with_the_build(self, kernel):
+        first, second = _BUILDS[kernel](2), _BUILDS[kernel](2)
+        assert len(_objects(first)) < _length(first)
+        assert _objects(first).isdisjoint(_objects(second))

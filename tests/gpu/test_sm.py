@@ -30,6 +30,7 @@ from repro.isa.instructions import MemSpace, coalesced_access, strided_access
 from repro.isa.program import ProgramBuilder, WarpProgram
 from tests.gpu import reference_sm
 from tests.gpu.reference_sm import fingerprint, run_reference
+from tests.gpu.test_sm_reference_parity import _DrawnEngine
 
 
 @pytest.fixture(scope="module")
@@ -489,3 +490,42 @@ class TestKeptSchedulerState:
         kernel = KernelSpec(name="order", programs=programs, scheduler=scheduler)
         _against_reference(monkeypatch, sm, kernel)
         assert sm.run(kernel).stalls.get("stall_scoreboard") > 0
+
+
+class TestKeptAdmissions:
+    """A unit's admission holds within its cycle until the unit books work."""
+
+    def test_lsma_lsu_booking_ends_an_admission(self, sm, monkeypatch):
+        # In some cycle the LSU admits a shared load that a register-file
+        # port then refuses, an LSMA's LSU overhead books the LSU, and
+        # another warp asks for the LSU. Keeping the first admission past
+        # that booking changes the stall counts. The shape was found by a
+        # search against the reference and is sensitive to every count.
+        programs = []
+        for warp_id in range(10):
+            builder = ProgramBuilder(f"w{warp_id}")
+            if warp_id == 0:
+                for step in range(11):
+                    builder.lds(
+                        30 + step % 8, coalesced_access(MemSpace.SHARED, 0), 1
+                    )
+            elif warp_id == 1:
+                for unit_id in (3, 1, 1):
+                    builder.lsma(1, 1, 1, 1, k_extent=8, unit_id=unit_id)
+            elif warp_id == 2:
+                for _ in range(2):
+                    builder.sts(
+                        coalesced_access(MemSpace.SHARED, 0, is_store=True), 1, 1
+                    )
+            elif warp_id == 4:
+                for step in range(5):
+                    builder.ffma(70 + step, 1, 2, 3)
+            elif warp_id in (6, 7, 9):
+                for step in range({6: 5, 7: 4, 9: 12}[warp_id]):
+                    builder.hmma(50 + step, 1, 2, 50 + step)
+            programs.append(builder.exit().build())
+        kernel = KernelSpec(
+            name="lsu", programs=programs, scheduler="gto",
+            lsma_engine=_DrawnEngine([16.0] * 4, 6.0),
+        )
+        _against_reference(monkeypatch, sm, kernel)

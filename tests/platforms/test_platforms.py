@@ -1,12 +1,20 @@
 """GPU platform tests (SIMD / TC / SMA)."""
 
+import dataclasses
+import sys
+import threading
+
 import pytest
 
+from repro.api.registry import available_models, build_model, build_platform
+from repro.config import system_gpu_simd
+from repro.dnn.graph import LayerGraph
 from repro.dnn.ops import Conv2d, RegionProposal, Relu
 from repro.dnn.tensor import nchw
 from repro.dnn.zoo import build_alexnet
+from repro.gemm.cache import CacheEntries, CacheStats, TimingCache
 from repro.platforms import GpuSimdPlatform, GpuSmaPlatform, GpuTcPlatform
-from repro.platforms.base import reporting_group
+from repro.platforms.base import GpuPlatformBase, OpStats, reporting_group
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +112,117 @@ class TestReportingGroups:
         assert reporting_group(_conv()) == "CNN&FC"
         nms = RegionProposal.build("rp", nchw(1, 1, 8, 8))
         assert reporting_group(nms) == "NMS"
+
+
+@pytest.fixture(scope="module")
+def irregular_ops():
+    """Every distinct non-GEMM operator of the registered models."""
+    ops = {}
+    for name in available_models():
+        for node in build_model(name).topological_order():
+            if node.op.gemm_dims() is None:
+                ops.setdefault(node.op, None)
+    return list(ops)
+
+
+def _fresh_pricing(platform, op):
+    return OpStats(
+        op.name, reporting_group(op), "simd", platform._simd_op_seconds(op),
+        op.flops, platform._simd_op_energy(op),
+    )
+
+
+def _count_pricings(monkeypatch):
+    priced = []
+    price = GpuPlatformBase._simd_op_seconds
+
+    def counting(platform, op):
+        priced.append(op)
+        return price(platform, op)
+
+    monkeypatch.setattr(GpuPlatformBase, "_simd_op_seconds", counting)
+    return priced
+
+
+def _graph(ops):
+    graph = LayerGraph("irregular")
+    for op in ops:
+        graph.add(op)
+    return graph
+
+
+class TestOpTable:
+    """Each non-GEMM operator is priced once per TimingCache and GPU."""
+
+    def test_entries_equal_a_fresh_pricing(self, irregular_ops):
+        cache = TimingCache()
+        volta = system_gpu_simd()
+        slow_dram = dataclasses.replace(
+            volta, gpu=dataclasses.replace(volta.gpu, dram_bandwidth_gbps=300.0)
+        )
+        platforms = [
+            build_platform(spec, cache=cache)
+            for spec in ("gpu-simd", "gpu-tc", "sma:3")
+        ] + [GpuSimdPlatform(system=slow_dram, cache=cache)]
+        for platform in platforms:
+            for op in irregular_ops:
+                platform.run_irregular(op)
+        for platform in platforms:
+            for op in irregular_ops:
+                assert platform.run_irregular(op) == _fresh_pricing(platform, op)
+        # Platforms on one GPU share the priced stats.
+        op = irregular_ops[0]
+        assert platforms[0].run_irregular(op) is platforms[2].run_irregular(op)
+
+    def test_table_is_neither_counted_nor_shipped(self, irregular_ops, monkeypatch):
+        priced = _count_pricings(monkeypatch)
+        cache = TimingCache()
+        platform = GpuSimdPlatform(cache=cache)
+        graph = _graph(irregular_ops[:40])
+        for _ in range(2):
+            platform.lower_model(graph)
+            assert cache.stats() == CacheStats()
+            assert len(cache) == 0
+            assert cache.export_entries() == CacheEntries({}, {})
+            assert TimingCache().merge(cache) == 0
+        assert len(priced) == 40
+
+    def test_clear_and_a_fresh_cache_price_again(self, irregular_ops, monkeypatch):
+        priced = _count_pricings(monkeypatch)
+        cache = TimingCache()
+        graph = _graph(irregular_ops[:40])
+        platform = GpuSimdPlatform(cache=cache)
+        platform.lower_model(graph)
+        GpuTcPlatform(cache=cache).lower_model(graph)
+        assert len(priced) == 40
+        cache.clear()
+        platform.lower_model(graph)
+        assert len(priced) == 80
+        GpuSimdPlatform(cache=TimingCache()).lower_model(graph)
+        assert len(priced) == 120
+
+    def test_threads_sharing_a_cache_read_fresh_pricings(self, irregular_ops):
+        # Entries are read and written without the lock; racing threads
+        # may price one op twice, but every reader gets equal stats.
+        cache = TimingCache()
+        ops = irregular_ops[:200]
+        results = {}
+
+        def lower(worker):
+            platform = GpuSimdPlatform(cache=cache)
+            results[worker] = [platform.run_irregular(op) for op in ops]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lower, args=(w,)) for w in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        fresh = GpuSimdPlatform(cache=TimingCache())
+        expected = [_fresh_pricing(fresh, op) for op in ops]
+        assert [results[worker] for worker in range(8)] == [expected] * 8
