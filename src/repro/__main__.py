@@ -1196,7 +1196,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         parser.add_argument(
             "--store", default=None, metavar="PATH",
-            help="sqlite result store; results persist as they finish",
+            help="sqlite result store; each point or shard persists as it"
+            " lands",
         )
         parser.add_argument(
             "--resume", action="store_true",
@@ -1503,7 +1504,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     frun_parser.add_argument(
         "--store", default=None, metavar="PATH",
-        help="sqlite corpus; executed cases persist as they finish",
+        help="sqlite corpus; each case or shard persists as it lands",
     )
     frun_parser.add_argument(
         "--resume", action="store_true",

@@ -182,10 +182,10 @@ def _submit_shards(assignments, submit, timeout_s: float = DEFAULT_TIMEOUT_S):
 def _submit_points(
     assignments, framework_overhead_s, session, timeout_s: float
 ):
-    """Submit grid-point shards; yield ``(request ID, report)`` as they land.
+    """Submit grid-point shards; yield each shard's reports as it lands.
 
-    Each shard's cache delta merges into ``session`` (when given) on
-    arrival.
+    Each landed shard is one batch of ``(request ID, report)`` pairs.
+    Its cache delta merges into ``session`` (when given) on arrival.
     """
     for reports, delta in _submit_shards(
         assignments,
@@ -196,7 +196,7 @@ def _submit_points(
     ):
         if session is not None:
             session.cache.merge(delta)
-        yield from reports.items()
+        yield reports.items()
 
 
 def run_sweep_remote(
@@ -212,13 +212,13 @@ def run_sweep_remote(
 
     ``store``/``resume`` behave exactly as in
     :func:`repro.sweep.run_sweep`: resumed points are loaded instead of
-    dispatched, and each shard's reports are written through as that
-    shard lands, so a sweep that fails or is interrupted keeps every
-    finished shard. Server cache deltas are merged into the session
-    cache as they land — the caller's process ends as warm as a local
-    run. ``timeout_s`` bounds one shard's round-trip; raise it for
-    shards whose simulations legitimately run long, or a healthy-but-busy
-    server gets misread as dead.
+    dispatched, and each shard's reports are written through in one
+    transaction as that shard's reply lands, so a sweep that fails or is
+    interrupted keeps every finished shard. Server cache deltas are
+    merged into the session cache as they land — the caller's process
+    ends as warm as a local run. ``timeout_s`` bounds one shard's
+    round-trip; raise it for shards whose simulations legitimately run
+    long, or a healthy-but-busy server gets misread as dead.
     """
     servers = normalize_servers(servers)
     grid = expand(spec) if isinstance(spec, SweepSpec) else spec
@@ -390,7 +390,9 @@ def run_serving_split(
             for index, point in enumerate(points)
         ]
         overhead = grid.framework_overhead_s
-        reports = dict(_submit_points(assignments, overhead, session, timeout_s))
+        reports = {}
+        for batch in _submit_points(assignments, overhead, session, timeout_s):
+            reports.update(batch)
         parts = [reports[point.request_id] for point in points]
     return merge_serving_reports(
         parts,

@@ -76,16 +76,15 @@ class WarmPool:
                         self._session, point, framework_overhead_s
                     )
             else:
-                reports.update(
-                    map_shards(
-                        self._pool(),
-                        self._session,
-                        points,
-                        self.jobs,
-                        framework_overhead_s,
-                        warm=before,
-                    )
-                )
+                for batch in map_shards(
+                    self._pool(),
+                    self._session,
+                    points,
+                    self.jobs,
+                    framework_overhead_s,
+                    warm=before,
+                ):
+                    reports.update(batch)
             after = self.cache.export_entries()
             self.submissions += 1
             self.points_run += len(points)

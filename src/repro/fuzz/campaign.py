@@ -7,8 +7,9 @@ same. That identity is what makes the three execution modes equivalent:
 
 * **local** — :func:`run_indices` evaluates indices in-process;
 * **resumed** — a :class:`CorpusStore` (sqlite) persists every executed
-  case record keyed ``(campaign_seed, index)``; re-running a campaign
-  against the same store executes only the missing indices;
+  case record keyed ``(campaign_seed, index)`` as it lands (each case
+  locally, each shard reply remotely); re-running a campaign against the
+  same store executes only the missing indices;
 * **remote** — :func:`run_campaign` deals index shards over
   ``repro.cluster`` warm servers (capacity-weighted, through the same
   dead-server re-dispatch loop as sweeps) and the servers run the same
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -147,7 +149,9 @@ class CorpusStore:
     Keys are ``(campaign_seed, index)`` — the campaign's content address —
     so resuming a campaign against the same store skips everything
     already executed, and the failure corpus accumulates across runs.
-    Rows are deliberately timestamp-free (see the module docstring's
+    :meth:`put` writes one landed batch per transaction, which is how
+    an interrupted campaign keeps what it executed. Rows are
+    deliberately timestamp-free (see the module docstring's
     determinism contract). ``path`` may be ``":memory:"``.
     """
 
@@ -162,33 +166,43 @@ class CorpusStore:
                 f"cannot open fuzz corpus {self.path!r}: {error}"
             ) from None
 
-    def put(self, campaign_seed: int, record: CaseRecord) -> None:
-        """Store (or overwrite) one executed case record."""
-        if record.case is None:
-            raise ConfigError(
-                f"corpus records need the full case (index {record.index})"
-            )
-        self._conn.execute(
-            "INSERT OR REPLACE INTO fuzz_cases"
-            " (campaign_seed, idx, case_id, family, status, oracles,"
-            "  case_json, reproducer_json)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                campaign_seed,
-                record.index,
-                record.case_id,
-                record.family,
-                record.status,
-                json.dumps(list(record.oracles)),
-                record.case.to_json(),
+    def put(self, campaign_seed: int, records: Iterable[CaseRecord]) -> None:
+        """Store (or overwrite) one landed batch of executed case records.
+
+        The batch is written in one transaction: durable as a whole once
+        this returns, and none of it kept if the write fails.
+        """
+        rows = []
+        for record in records:
+            if record.case is None:
+                raise ConfigError(
+                    "corpus records need the full case (index"
+                    f" {record.index})"
+                )
+            rows.append(
                 (
-                    record.reproducer.to_json()
-                    if record.reproducer is not None
-                    else None
-                ),
-            ),
-        )
-        self._conn.commit()
+                    campaign_seed,
+                    record.index,
+                    record.case_id,
+                    record.family,
+                    record.status,
+                    json.dumps(list(record.oracles)),
+                    record.case.to_json(),
+                    (
+                        record.reproducer.to_json()
+                        if record.reproducer is not None
+                        else None
+                    ),
+                )
+            )
+        with self._conn:
+            self._conn.executemany(
+                "INSERT OR REPLACE INTO fuzz_cases"
+                " (campaign_seed, idx, case_id, family, status, oracles,"
+                "  case_json, reproducer_json)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                rows,
+            )
 
     def get(self, campaign_seed: int, index: int) -> CaseRecord | None:
         """The stored record of one campaign index, or ``None``."""
@@ -310,13 +324,14 @@ def _run_remote(
     inject: str | None,
     differential: bool,
     timeout_s: float,
-) -> list[CaseRecord]:
+) -> Iterator[list[CaseRecord]]:
     """Deal pending indices over warm cluster servers.
 
     Shards are capacity-weighted and go through the sweeps' re-dispatch
     loop (:func:`repro.cluster.dispatch._submit_shards`): a shard whose
     server dies mid-campaign is re-submitted to a live one, and a shard
     no server can take raises :class:`~repro.errors.ClusterError`.
+    Yields each shard's records, as one batch, as its reply lands.
     """
     # Deferred import: local campaigns must not require the cluster
     # package's socket machinery.
@@ -329,7 +344,7 @@ def _run_remote(
 
     servers = normalize_servers(servers)
     capacities = server_capacities(servers, timeout_s=timeout_s)
-    shards = _submit_shards(
+    return _submit_shards(
         weighted_assignments(pending, servers, capacities),
         lambda client, shard: client.submit_fuzz(
             campaign_seed,
@@ -340,7 +355,6 @@ def _run_remote(
         ),
         timeout_s,
     )
-    return [record for records in shards for record in records]
 
 
 def run_campaign(
@@ -359,9 +373,13 @@ def run_campaign(
     """Run (or resume) one campaign batch and return its report.
 
     With ``store`` + ``resume``, indices already in the corpus are loaded
-    instead of re-executed; everything executed this run is persisted
-    back. With ``servers``, pending indices fan out across warm cluster
-    servers — the records are identical to a local run by construction.
+    instead of re-executed. Everything executed this run is persisted as
+    it lands, one transaction per batch: each case as it finishes
+    locally, each shard as its reply arrives remotely. So an interrupted
+    campaign, or one whose late shard fails, keeps what it executed, and
+    a resume runs only the rest. With ``servers``, pending indices fan
+    out across warm cluster servers — the records are identical to a
+    local run by construction.
     ``differential`` turns on the reference-engine oracle for every case
     (see :func:`run_indices`).
     """
@@ -378,7 +396,7 @@ def run_campaign(
                 loaded[index] = record
     pending = [index for index in wanted if index not in loaded]
     if servers is not None and pending:
-        executed = _run_remote(
+        batches = _run_remote(
             campaign_seed,
             pending,
             servers=servers,
@@ -388,23 +406,26 @@ def run_campaign(
             timeout_s=timeout_s,
         )
     else:
-        executed = run_indices(
-            campaign_seed,
-            pending,
-            shrink=shrink,
-            inject=inject,
-            differential=differential,
+        batches = (
+            run_indices(
+                campaign_seed,
+                [index],
+                shrink=shrink,
+                inject=inject,
+                differential=differential,
+            )
+            for index in pending
         )
     by_index = dict(loaded)
-    for record in executed:
-        by_index[record.index] = record
+    for records in batches:
         if store is not None:
-            store.put(campaign_seed, record)
+            store.put(campaign_seed, records)
+        by_index.update((record.index, record) for record in records)
     return FuzzReport(
         campaign_seed=campaign_seed,
         batch=batch,
         start=start,
-        executed=len(executed),
+        executed=len(pending),
         loaded=len(loaded),
         records=tuple(by_index[index] for index in wanted),
     )

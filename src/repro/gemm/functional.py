@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.config import SmaConfig
 from repro.errors import MappingError
 from repro.gemm.problem import GemmProblem
@@ -49,6 +47,8 @@ def tiled_systolic_gemm(
     by edge tiles is zero-filled and clipped, so the result equals the
     dense reference for arbitrary shapes.
     """
+    import numpy as np
+
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:

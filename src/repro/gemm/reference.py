@@ -8,8 +8,6 @@ validation on small tensors.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import MappingError
 
 
@@ -21,6 +19,8 @@ def reference_gemm(
     beta: float = 0.0,
 ) -> np.ndarray:
     """C = alpha * A @ B + beta * C in float64."""
+    import numpy as np
+
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -85,6 +85,8 @@ def im2col(
     padding: int = 0,
 ) -> np.ndarray:
     """Unfold a (C, H, W) image into the im2col matrix (outH*outW, C*k*k)."""
+    import numpy as np
+
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3:
         raise MappingError(f"im2col expects (C, H, W), got shape {image.shape}")
@@ -112,6 +114,8 @@ def conv2d_reference(
     padding: int = 0,
 ) -> np.ndarray:
     """Direct convolution via im2col GEMM: (C_out, outH, outW)."""
+    import numpy as np
+
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 4:
         raise MappingError("weights must be (C_out, C_in, k, k)")

@@ -26,6 +26,7 @@ from repro.dnn.ops import (
 )
 from repro.energy.accounting import EnergyBreakdown, EnergyLedger
 from repro.gemm.cache import TimingCache
+from repro.gemm.executor import GemmTiming
 from repro.schedule.resources import ResourceClaim, claims_for_mode
 from repro.schedule.timeline import OpTask, Timeline, TimelineScheduler
 
@@ -180,6 +181,7 @@ class Platform(abc.ABC):
         The per-op :class:`OpStats` ride along as the task payload.
         """
         stream = stream if stream is not None else graph.name
+        cross_switch_s = self.cross_switch_seconds()
         tasks: list[OpTask] = []
         for node in graph.topological_order():
             stats = self.run_op(node.op)
@@ -198,7 +200,7 @@ class Platform(abc.ABC):
                     mode=substrate_mode(stats.mode),
                     stream=stream,
                     deps=(uid - 1,) if uid else (),
-                    cross_switch_s=self.cross_switch_seconds(),
+                    cross_switch_s=cross_switch_s,
                     payload=stats,
                 )
             )
@@ -232,7 +234,8 @@ class GpuPlatformBase(Platform):
     ``simd_efficiency``, plus the kernel launch overhead. Both read only
     the GPU and the op, so each operator is priced once per ``cache``
     (:meth:`TimingCache.op_table`); the subclasses' GEMM executors time
-    through the same cache.
+    through the same cache, and each timing's energy is accounted once
+    per platform (:meth:`gemm_energy`).
     """
 
     def __init__(
@@ -251,6 +254,23 @@ class GpuPlatformBase(Platform):
         self.ledger = EnergyLedger(self.gpu)
         self.cache = cache if cache is not None else TimingCache()
         self._priced = self.cache.op_table(self.gpu)
+        self._gemm_energies: dict[
+            int, tuple[GemmTiming, EnergyBreakdown]
+        ] = {}
+
+    def gemm_energy(self, timing: GemmTiming) -> EnergyBreakdown:
+        """The energy of one timed GEMM, accounted once per timing.
+
+        Keyed by the timing's id, with the timing held in the entry so
+        the id cannot be reused while the entry lives. Every op priced
+        from one timing shares its :class:`EnergyBreakdown`, so nothing
+        may mutate it.
+        """
+        entry = self._gemm_energies.get(id(timing))
+        if entry is None:
+            energy = self.ledger.account(timing.counters)
+            entry = self._gemm_energies[id(timing)] = (timing, energy)
+        return entry[1]
 
     def _simd_op_seconds(self, op: Operator) -> float:
         peak_flops = (

@@ -48,5 +48,5 @@ class GpuSimdPlatform(GpuPlatformBase):
             mode="gemm-simd",
             seconds=timing.seconds,
             flops=float(problem.flops),
-            energy=self.ledger.account(timing.counters),
+            energy=self.gemm_energy(timing),
         )

@@ -71,7 +71,7 @@ class GpuSmaPlatform(GpuPlatformBase):
             mode="gemm-sma",
             seconds=timing.seconds + switch_seconds,
             flops=float(problem.flops),
-            energy=self.ledger.account(timing.counters),
+            energy=self.gemm_energy(timing),
         )
 
     @property

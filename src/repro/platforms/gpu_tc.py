@@ -57,7 +57,7 @@ class GpuTcPlatform(GpuPlatformBase):
             mode="gemm-tc",
             seconds=timing.seconds,
             flops=float(problem.flops),
-            energy=self.ledger.account(timing.counters),
+            energy=self.gemm_energy(timing),
         )
 
     def corun_simd_fraction(self, op: Operator) -> float:

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import MappingError
 from repro.systolic.array import SystolicArray
 from repro.systolic.dataflow import Dataflow
@@ -53,6 +51,8 @@ def execute_lsma(
     The multiply runs cycle-by-cycle on the systolic array simulator, so
     the result is exactly what the hardware's dataflow would produce.
     """
+    import numpy as np
+
     a_tile = np.asarray(a_tile, dtype=np.float64)
     b_subtile = np.asarray(b_subtile, dtype=np.float64)
     if a_tile.ndim != 2 or b_subtile.ndim != 2:

@@ -10,8 +10,6 @@ plus the mode tracker; kernel-level timing goes through
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.config import SmaConfig
 from repro.errors import MappingError
 from repro.sma.lsma import execute_lsma

@@ -4,7 +4,9 @@ A :class:`ResultStore` keys each stored report on ``(request_id,
 fingerprint)`` — the stable content-addressed identity minted by
 :mod:`repro.sweep.grid` — so results survive process exit, a re-run
 against the same store skips everything already present (resumability),
-and two stores written at different commits can be diffed.
+and two stores written at different commits can be diffed. Writes go
+through per landed batch: :meth:`ResultStore.put` commits the reports
+that arrived together (one point, or one shard) in one transaction.
 
 Reports are stored as their canonical ``to_dict()`` JSON and rehydrated
 through :func:`repro.api.results.report_from_dict`, so a loaded report is
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -71,30 +74,41 @@ class ResultStore:
 
     # -- writes ------------------------------------------------------------------------
     def put(
-        self, point: SweepPoint, report: GemmReport | ModelReport
+        self, landed: Iterable[tuple[SweepPoint, GemmReport | ModelReport]]
     ) -> None:
-        """Store (or overwrite) the report of one sweep point."""
-        request = point.request
-        if request.scenario is not None:
-            workload = request.scenario.name
-        else:
-            workload = request.model or str(request.gemm)
-        self._conn.execute(
-            "INSERT OR REPLACE INTO results"
-            " (request_id, fingerprint, kind, platform, workload, tag,"
-            "  report_json)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?)",
-            (
-                point.request_id,
-                point.fingerprint,
-                request.kind,
-                request.platform,
-                workload,
-                request.tag,
-                json.dumps(report.to_dict(), sort_keys=True),
-            ),
-        )
-        self._conn.commit()
+        """Store (or overwrite) the reports of one landed batch.
+
+        ``landed`` holds the ``(point, report)`` pairs that arrived
+        together: one finished point, or one shard's reports. They are
+        written in one transaction, so the batch is durable as a whole
+        once this returns, and a failed write keeps none of it.
+        """
+        rows = []
+        for point, report in landed:
+            request = point.request
+            if request.scenario is not None:
+                workload = request.scenario.name
+            else:
+                workload = request.model or str(request.gemm)
+            rows.append(
+                (
+                    point.request_id,
+                    point.fingerprint,
+                    request.kind,
+                    request.platform,
+                    workload,
+                    request.tag,
+                    json.dumps(report.to_dict(), sort_keys=True),
+                )
+            )
+        with self._conn:
+            self._conn.executemany(
+                "INSERT OR REPLACE INTO results"
+                " (request_id, fingerprint, kind, platform, workload, tag,"
+                "  report_json)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?)",
+                rows,
+            )
 
     # -- reads -------------------------------------------------------------------------
     def get(self, point: SweepPoint) -> GemmReport | ModelReport | None:

@@ -11,8 +11,9 @@ into its own with :meth:`TimingCache.merge` on join.
 Because the simulator is deterministic, a sharded run is bit-identical to
 the sequential one — workers just recompute shared sample windows instead
 of sharing them live. With a :class:`~repro.sweep.store.ResultStore`
-attached, every finished point is persisted immediately; with
-``resume=True``, points already in the store are loaded instead of
+attached, every batch of reports is persisted in one transaction as it
+lands (a finished point when sequential, a finished shard otherwise);
+with ``resume=True``, points already in the store are loaded instead of
 simulated, so re-running a finished sweep executes zero simulations.
 Remote sweeps share that resume and write-through skeleton
 (:func:`sweep_grid`).
@@ -174,8 +175,9 @@ def map_shards(
     """Run ``points`` as ``jobs`` round-robin shards on a process executor.
 
     The one shard-outcome merge of local sweeps and the warm pool: yields
-    each shard's ``(request ID, report)`` pairs, shard by shard, after
-    folding that shard's new cache entries and metrics into ``session``.
+    each shard's ``(request ID, report)`` pairs as one batch, shard by
+    shard, after folding that shard's new cache entries and metrics into
+    ``session``.
     """
     for outcome in executor.map(
         run_shard_points,
@@ -186,7 +188,7 @@ def map_shards(
         session.cache.merge(outcome.cache)
         if session.metrics is not None and outcome.metrics is not None:
             session.metrics.merge(outcome.metrics)
-        yield from outcome.reports
+        yield outcome.reports
 
 
 def load_resumable(
@@ -219,9 +221,11 @@ def sweep_grid(
 ) -> SweepResult:
     """The resume, write-through and result skeleton of every sweep.
 
-    ``run_pending(todo)`` yields ``(request ID, report)`` for the points
-    not resumed from ``store``, in any order; each report is persisted as
-    it arrives, so an interrupted sweep loses at most its in-flight work.
+    ``run_pending(todo)`` yields batches of ``(request ID, report)`` pairs
+    for the points not resumed from ``store``, in any order, one batch per
+    unit of work that lands together. Each batch is persisted in one
+    transaction as it arrives, so an interrupted sweep loses at most its
+    in-flight work.
     Local (:func:`run_sweep`) and remote
     (:func:`repro.cluster.dispatch.run_sweep_remote`) sweeps differ only
     in ``run_pending``.
@@ -239,10 +243,10 @@ def sweep_grid(
     todo = tuple(point for point in grid if point.request_id not in loaded)
     by_id = grid.by_id()
     executed: dict[str, GemmReport | ModelReport] = {}
-    for request_id, report in run_pending(todo):
-        executed[request_id] = report
+    for batch in run_pending(todo):
+        executed.update(batch)
         if store is not None:
-            store.put(by_id[request_id], report)
+            store.put([(by_id[rid], report) for rid, report in batch])
 
     reports = tuple(
         executed.get(point.request_id, loaded.get(point.request_id))
@@ -279,8 +283,9 @@ def run_sweep(
         Worker process count; ``1`` runs in-process. Workers get private
         caches that are merged back into the parent session's cache.
     store:
-        When given, every finished report is persisted immediately, so an
-        interrupted sweep loses at most the in-flight shards.
+        When given, reports are persisted as they land, one transaction
+        per batch: each point when ``jobs`` is 1, each shard otherwise. An
+        interrupted sweep loses at most the in-flight point or shards.
     resume:
         Skip points whose ``(request_id, fingerprint)`` is already in
         ``store`` (which is then required) and load their reports instead.
@@ -296,7 +301,8 @@ def run_sweep(
         overhead = grid.framework_overhead_s
         if jobs == 1 or len(todo) <= 1:
             for point in todo:
-                yield point.request_id, execute_point(session, point, overhead)
+                report = execute_point(session, point, overhead)
+                yield [(point.request_id, report)]
             return
         with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
             yield from map_shards(pool, session, todo, jobs, overhead)

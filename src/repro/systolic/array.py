@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import SimulationError
 from repro.systolic.dataflow import Dataflow
 
@@ -70,6 +68,8 @@ class SystolicArray:
         the cycle budget. ``overlap_weight_load`` models double-buffered
         weights (load hidden behind the previous tile's streaming).
         """
+        import numpy as np
+
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -88,6 +88,8 @@ class SystolicArray:
     def _run_semi_broadcast(
         self, a: np.ndarray, b: np.ndarray, overlap: bool
     ) -> GemmRunResult:
+        import numpy as np
+
         m_extent, k_extent = a.shape
         _, n_extent = b.shape
         if n_extent != self.rows or k_extent != self.cols:
@@ -129,6 +131,8 @@ class SystolicArray:
     def _run_weight_stationary(
         self, a: np.ndarray, b: np.ndarray, overlap: bool
     ) -> GemmRunResult:
+        import numpy as np
+
         m_extent, k_extent = a.shape
         _, n_extent = b.shape
         if k_extent != self.rows or n_extent != self.cols:
@@ -176,6 +180,8 @@ class SystolicArray:
     def _run_output_stationary(
         self, a: np.ndarray, b: np.ndarray
     ) -> GemmRunResult:
+        import numpy as np
+
         m_extent, k_extent = a.shape
         _, n_extent = b.shape
         if m_extent != self.rows or n_extent != self.cols:

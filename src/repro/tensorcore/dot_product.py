@@ -8,8 +8,6 @@ by rounding the products to FP16 before the FP32 sum.
 
 from __future__ import annotations
 
-import numpy as np
-
 
 def dot4(
     a: np.ndarray, b: np.ndarray, c: float, fp16_inputs: bool = True
@@ -20,6 +18,8 @@ def dot4(
     first rounded to half precision (the TC datapath), while the adder tree
     and accumulator stay FP32.
     """
+    import numpy as np
+
     a = np.asarray(a, dtype=np.float32).reshape(4)
     b = np.asarray(b, dtype=np.float32).reshape(4)
     if fp16_inputs:

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import SimulationError
 from repro.tensorcore.dot_product import dot4
 
@@ -56,6 +54,8 @@ class TensorCore:
         self, a: np.ndarray, b: np.ndarray, c: np.ndarray
     ) -> np.ndarray:
         """One 4x4x4 step via 16 parallel dot-product units."""
+        import numpy as np
+
         a = np.asarray(a, dtype=np.float32)
         b = np.asarray(b, dtype=np.float32)
         c = np.asarray(c, dtype=np.float32)
@@ -75,6 +75,8 @@ class TensorCore:
 
     def wmma(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
         """A 16x16x16 warp fragment op decomposed into 4x4x4 steps."""
+        import numpy as np
+
         a = np.asarray(a, dtype=np.float32)
         b = np.asarray(b, dtype=np.float32)
         c = np.asarray(c, dtype=np.float32).copy()

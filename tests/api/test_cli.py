@@ -68,7 +68,7 @@ class TestStoreDiff:
             tflops=1.0, efficiency=1.0, sm_efficiency=1.0,
         )
         with ResultStore(path) as store:
-            store.put(point, report)
+            store.put([(point, report)])
 
     def test_identical_stores_pass(self, tmp_path, capsys):
         left, right = tmp_path / "a.sqlite", tmp_path / "b.sqlite"

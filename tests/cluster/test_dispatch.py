@@ -98,6 +98,22 @@ class TestSweepGolden:
         assert resumed.executed == ()
         assert len(resumed.loaded) == len(GRID)
 
+    def test_write_through_commits_once_per_landed_shard(
+        self, two_servers, count_commits
+    ):
+        one, two = two_servers
+        with ResultStore() as store:
+            commits = count_commits(store)
+            run_sweep_remote(
+                GRID,
+                (one.address, two.address),
+                store=store,
+                session=_fresh_session(),
+            )
+            # Equal capacities deal one shard to each server.
+            assert len(commits) == 2
+            assert store.pending(GRID) == ()
+
     def test_remote_store_equals_local_store(self, two_servers, tmp_path):
         """The regression-gate contract: store payloads are identical."""
         one, two = two_servers

@@ -84,3 +84,25 @@ def close_after_probe(monkeypatch):
         monkeypatch.setattr(dispatch, "server_capacities", probe_then_close)
 
     return arm
+
+
+@pytest.fixture()
+def count_commits():
+    """Arm: record every COMMIT a sqlite-backed store runs from now on.
+
+    Traces the store's connection with ``set_trace_callback`` and returns
+    the list the COMMIT statements are appended to, so a test can count
+    the transactions a write path makes.
+    """
+
+    def arm(store) -> list[str]:
+        commits: list[str] = []
+
+        def trace(statement: str) -> None:
+            if statement.strip().upper() == "COMMIT":
+                commits.append(statement)
+
+        store._conn.set_trace_callback(trace)
+        return commits
+
+    return arm

@@ -9,6 +9,7 @@ from repro.api.results import report_from_dict
 from repro.cluster.client import ClusterClient
 from repro.cluster.server import ClusterServer
 from repro.errors import ClusterError
+from repro.fuzz import campaign
 from repro.fuzz.campaign import (
     CaseRecord,
     CorpusStore,
@@ -55,7 +56,7 @@ class TestCorpusStore:
         records = run_indices(CAMPAIGN_SEED, range(4))
         with CorpusStore() as store:
             for record in records:
-                store.put(CAMPAIGN_SEED, record)
+                store.put(CAMPAIGN_SEED, [record])
             assert len(store) == 4
             assert store.indices(CAMPAIGN_SEED) == {0, 1, 2, 3}
             assert store.failures(CAMPAIGN_SEED) == []
@@ -65,7 +66,7 @@ class TestCorpusStore:
     def test_campaign_seeds_are_isolated(self):
         records = run_indices(CAMPAIGN_SEED, [0])
         with CorpusStore() as store:
-            store.put(CAMPAIGN_SEED, records[0])
+            store.put(CAMPAIGN_SEED, [records[0]])
             assert store.indices(CAMPAIGN_SEED + 1) == set()
             assert store.get(CAMPAIGN_SEED + 1, 0) is None
 
@@ -154,6 +155,57 @@ class TestRemoteDispatch:
         gone.close()
         with pytest.raises(ClusterError, match="dead or draining"):
             run_campaign(CAMPAIGN_SEED, BATCH, servers=[gone.address])
+
+    def test_write_through_commits_once_per_shard(self, count_commits):
+        with ClusterServer(jobs=1) as one, ClusterServer(jobs=1) as two:
+            one.start()
+            two.start()
+            with CorpusStore() as store:
+                commits = count_commits(store)
+                run_campaign(
+                    CAMPAIGN_SEED,
+                    BATCH,
+                    store=store,
+                    servers=[one.address, two.address],
+                )
+                # Equal capacities deal one shard to each server.
+                assert len(commits) == 2
+                assert store.indices(CAMPAIGN_SEED) == set(range(BATCH))
+
+    def test_landed_shard_is_stored_when_a_late_shard_fails(
+        self, close_after_probe, monkeypatch
+    ):
+        """Write-through: server one's shard lands, server two dies on
+        submit and server one refuses the re-dispatch; the campaign
+        raises but the corpus keeps server one's records."""
+        local = run_indices(CAMPAIGN_SEED, range(BATCH))
+        with ClusterServer(jobs=1) as one, ClusterServer(jobs=1) as two:
+            one.start()
+            two.start()
+            close_after_probe(two)
+
+            def run_then_drain(*args, **kwargs):
+                records = run_indices(*args, **kwargs)
+                with ClusterClient(one.address) as client:
+                    client.drain()
+                return records
+
+            monkeypatch.setattr(campaign, "run_indices", run_then_drain)
+            with CorpusStore() as store:
+                with pytest.raises(ClusterError, match="dead or draining"):
+                    run_campaign(
+                        CAMPAIGN_SEED,
+                        BATCH,
+                        store=store,
+                        servers=[one.address, two.address],
+                    )
+                kept = {
+                    index: store.get(CAMPAIGN_SEED, index).to_dict()
+                    for index in store.indices(CAMPAIGN_SEED)
+                }
+        # Equal capacities deal server one every other index.
+        assert sorted(kept) == list(range(0, BATCH, 2))
+        assert kept == {index: local[index].to_dict() for index in kept}
 
     def test_server_dead_after_probe_is_redispatched(self, close_after_probe):
         """A server that passes the probe and dies before its submit

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.__main__ import main
 
 SEED = "7"
@@ -106,3 +108,34 @@ def test_store_and_resume_round_trip(capsys, tmp_path):
     assert a["executed"] == 8 and a["loaded"] == 0
     assert b["executed"] == 0 and b["loaded"] == 8
     assert a["records"] == b["records"]
+
+
+def test_interrupted_run_keeps_finished_cases(capsys, tmp_path, monkeypatch):
+    """Write-through: a campaign interrupted at case k keeps cases
+    0..k-1, and ``--resume`` executes only the rest."""
+    from repro.fuzz import campaign
+    from repro.fuzz.campaign import CorpusStore
+    from repro.fuzz.generators import generate_case
+
+    k = 3
+    interrupted = generate_case(int(SEED), k).case_id
+    evaluate = campaign.evaluate_case
+
+    def interrupt_at_k(case, **kwargs):
+        if case.case_id == interrupted:
+            raise KeyboardInterrupt
+        return evaluate(case, **kwargs)
+
+    store = tmp_path / "corpus.sqlite"
+    monkeypatch.setattr(campaign, "evaluate_case", interrupt_at_k)
+    with pytest.raises(KeyboardInterrupt):
+        run_json(capsys, "--store", str(store))
+    monkeypatch.undo()
+    with CorpusStore(store) as corpus:
+        assert corpus.indices(int(SEED)) == set(range(k))
+    code, resumed = run_json(capsys, "--store", str(store), "--resume")
+    _, fresh = run_json(capsys)
+    assert code == 0
+    resumed, fresh = json.loads(resumed), json.loads(fresh)
+    assert resumed["executed"] == 8 - k and resumed["loaded"] == k
+    assert resumed["records"] == fresh["records"]

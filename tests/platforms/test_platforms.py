@@ -12,6 +12,7 @@ from repro.dnn.graph import LayerGraph
 from repro.dnn.ops import Conv2d, RegionProposal, Relu
 from repro.dnn.tensor import nchw
 from repro.dnn.zoo import build_alexnet
+from repro.energy.accounting import EnergyLedger
 from repro.gemm.cache import CacheEntries, CacheStats, TimingCache
 from repro.platforms import GpuSimdPlatform, GpuSmaPlatform, GpuTcPlatform
 from repro.platforms.base import GpuPlatformBase, OpStats, reporting_group
@@ -149,6 +150,44 @@ def _graph(ops):
     for op in ops:
         graph.add(op)
     return graph
+
+
+class TestGemmEnergy:
+    """Each GEMM timing's energy is accounted once per platform."""
+
+    @pytest.mark.parametrize("spec", ["gpu-simd", "gpu-tc", "sma:3"])
+    def test_energy_equals_a_fresh_account(self, spec):
+        platform = build_platform(spec, cache=TimingCache())
+        fresh = EnergyLedger(platform.gpu)
+        time_gemm = platform.executor.time_gemm
+        gemms = [
+            node.op
+            for node in build_alexnet().topological_order()
+            if node.op.gemm_dims() is not None
+        ]
+        expected = []
+
+        def served(problem):
+            timing = time_gemm(problem)
+            expected.append(fresh.account(timing.counters))
+            return timing
+
+        platform.executor.time_gemm = served
+        for op in gemms * 2:  # the second pass reads accounted energies
+            assert platform.run_op(op).energy == expected[-1]
+
+        def fresh_copy(problem):
+            # A new timing per call, with other counters, that nothing
+            # else holds: a memo that did not keep its timings alive
+            # would see a dead timing's id reused by a later one.
+            timing = time_gemm(problem)
+            counters = timing.counters.scaled(1.0 + len(expected))
+            expected.append(fresh.account(counters))
+            return dataclasses.replace(timing, counters=counters)
+
+        platform.executor.time_gemm = fresh_copy
+        for op in gemms * 2:
+            assert platform.run_op(op).energy == expected[-1]
 
 
 class TestOpTable:

@@ -38,7 +38,7 @@ class TestRoundTrip:
         grid = _grid()
         with ResultStore(":memory:") as store:
             report = _gemm_report(grid.points[0])
-            store.put(grid.points[0], report)
+            store.put([(grid.points[0], report)])
             assert store.get(grid.points[0]) == report
             assert grid.points[0] in store
             assert grid.points[1] not in store
@@ -56,7 +56,7 @@ class TestRoundTrip:
             ),
         )
         with ResultStore(":memory:") as store:
-            store.put(grid.points[0], report)
+            store.put([(grid.points[0], report)])
             assert store.get(grid.points[0]) == report
 
     def test_unopenable_path_is_config_error(self):
@@ -70,7 +70,7 @@ class TestRoundTrip:
         path = tmp_path / "sweep.sqlite"
         report = _gemm_report(grid.points[0])
         with ResultStore(path) as store:
-            store.put(grid.points[0], report)
+            store.put([(grid.points[0], report)])
         with ResultStore(path) as store:
             assert len(store) == 1
             assert store.get(grid.points[0]) == report
@@ -86,7 +86,7 @@ class TestPending:
         grid = _grid()
         with ResultStore(":memory:") as store:
             for point in grid:
-                store.put(point, _gemm_report(point))
+                store.put([(point, _gemm_report(point))])
             assert store.pending(grid) == ()
             reports = store.reports(grid)
             assert all(report is not None for report in reports)
@@ -99,7 +99,7 @@ class TestPending:
         )
         with ResultStore(":memory:") as store:
             for point in grid:
-                store.put(point, _gemm_report(point))
+                store.put([(point, _gemm_report(point))])
             assert len(store.pending(shifted)) == len(shifted)
 
 
@@ -109,8 +109,8 @@ class TestDiffAndMerge:
         with ResultStore(":memory:") as a, ResultStore(":memory:") as b:
             for point in grid:
                 report = _gemm_report(point)
-                a.put(point, report)
-                b.put(point, report)
+                a.put([(point, report)])
+                b.put([(point, report)])
             diff = a.diff(b)
             assert diff.identical
             assert len(diff.unchanged) == len(grid)
@@ -119,11 +119,11 @@ class TestDiffAndMerge:
         grid = _grid()
         with ResultStore(":memory:") as a, ResultStore(":memory:") as b:
             for point in grid.points[:3]:
-                a.put(point, _gemm_report(point))
+                a.put([(point, _gemm_report(point))])
             for point in grid.points[1:3]:
-                b.put(point, _gemm_report(point))
-            b.put(grid.points[2], _gemm_report(grid.points[2], seconds=9.0))
-            b.put(grid.points[3], _gemm_report(grid.points[3]))
+                b.put([(point, _gemm_report(point))])
+            b.put([(grid.points[2], _gemm_report(grid.points[2], seconds=9.0))])
+            b.put([(grid.points[3], _gemm_report(grid.points[3]))])
             diff = a.diff(b)
             assert diff.only_left == (grid.points[0].request_id,)
             assert diff.only_right == (grid.points[3].request_id,)
@@ -133,9 +133,9 @@ class TestDiffAndMerge:
     def test_merge_from_copies_missing_rows(self):
         grid = _grid()
         with ResultStore(":memory:") as a, ResultStore(":memory:") as b:
-            a.put(grid.points[0], _gemm_report(grid.points[0]))
-            b.put(grid.points[0], _gemm_report(grid.points[0], seconds=9.0))
-            b.put(grid.points[1], _gemm_report(grid.points[1]))
+            a.put([(grid.points[0], _gemm_report(grid.points[0]))])
+            b.put([(grid.points[0], _gemm_report(grid.points[0], seconds=9.0))])
+            b.put([(grid.points[1], _gemm_report(grid.points[1]))])
             added = a.merge_from(b)
             assert added == 1
             # existing rows keep the local payload (first write wins)

@@ -88,6 +88,20 @@ class TestStoreIntegration:
         assert store.pending(GRID) == ()
         store.close()
 
+    def test_sequential_sweep_commits_once_per_point(self, count_commits):
+        with ResultStore() as store:
+            commits = count_commits(store)
+            run_sweep(GRID, store=store, session=_fresh_session())
+            assert len(commits) == len(GRID)
+            assert store.pending(GRID) == ()
+
+    def test_sharded_sweep_commits_once_per_shard(self, count_commits):
+        with ResultStore() as store:
+            commits = count_commits(store)
+            run_sweep(GRID, jobs=2, store=store, session=_fresh_session())
+            assert len(commits) == 2
+            assert store.pending(GRID) == ()
+
     def test_resume_requires_store(self):
         with pytest.raises(ConfigError):
             run_sweep(GRID, resume=True, session=_fresh_session())
