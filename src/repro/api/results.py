@@ -262,7 +262,7 @@ class ModelReport(
         )
 
 
-#: Schedule reports carry the engine's own segment type — a frozen
+#: Schedule reports carry the engine's own segment type — a slotted
 #: primitives-only dataclass — so the timeline is exported without a
 #: parallel copy that could drift.
 ScheduleSegment = TimelineSegment

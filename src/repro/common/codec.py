@@ -1,4 +1,4 @@
-"""One JSON codec for the library's frozen dataclasses.
+"""One JSON codec for the library's payload dataclasses.
 
 Reports, requests, specs, fuzz cases and trace events reach users, the
 sqlite store and the cluster wire as JSON whose payload is their field

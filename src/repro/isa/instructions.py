@@ -13,7 +13,18 @@ from dataclasses import dataclass, field
 
 
 class Opcode(enum.Enum):
-    """Supported operations, named after their SASS analogues."""
+    """Supported operations, named after their SASS analogues.
+
+    Hashed by identity, in C: the SM's per-issue record key, the
+    generated ``MemAccess.__hash__`` and the program builder's table
+    keys hash opcodes, and ``Enum.__hash__`` is a Python-level call.
+    This changes no result. No set of opcodes is iterated (the only
+    one, ``_MEMORY_OPCODES``, is a membership test), dicts iterate in
+    insertion order, and ``Enum``'s own ``hash(name)`` already varies
+    per process with ``PYTHONHASHSEED``.
+    """
+
+    __hash__ = object.__hash__
 
     FFMA = "ffma"      # FP32 fused multiply-add (SIMD mode MAC)
     HFMA2 = "hfma2"    # paired FP16 multiply-add on CUDA cores
@@ -94,6 +105,11 @@ _MEMORY_OPCODES = frozenset(
 
 
 class MemSpace(enum.Enum):
+    """A memory access's space, hashed by identity like :class:`Opcode`
+    (no set of spaces is iterated)."""
+
+    __hash__ = object.__hash__
+
     SHARED = "shared"
     GLOBAL = "global"
     CONST = "const"

@@ -372,31 +372,19 @@ class FrameSource:
             think = self._think if previous is not None else None
             head_deps = () if previous is None else (previous,)
             base = self.uid
-            tasks = []
-            for position, task in enumerate(self.template):
-                uid = base + position
-                # Direct construction instead of dataclasses.replace():
-                # replace() re-introspects fields per call, and this runs
-                # once per task of every served frame.
-                tasks.append(
-                    OpTask(
-                        uid=uid,
-                        name=task.name,
-                        seconds=task.seconds,
-                        claims=task.claims,
-                        mode=task.mode,
-                        stream=stream.name,
-                        frame=frame,
-                        deps=(uid - 1,) if position else head_deps,
-                        release_s=release,
-                        weight=stream.priority,
-                        cross_switch_s=task.cross_switch_s,
-                        deadline_s=stream.deadline_s,
-                        frame_head=position == 0,
-                        think_s=None if position else think,
-                        payload=task.payload,
-                    )
+            # Positional, in OpTask's field order: this runs once per task
+            # of every served frame, where keywords and replace() cost.
+            tasks = [
+                OpTask(
+                    base + position, task.name, task.seconds, task.claims,
+                    task.mode, stream.name, frame,
+                    (base + position - 1,) if position else head_deps,
+                    release, stream.priority, task.cross_switch_s,
+                    stream.deadline_s, position == 0,
+                    None if position else think, task.payload,
                 )
+                for position, task in enumerate(self.template)
+            ]
             # Read back from the tasks so the run shares their uid objects
             # (a fresh int per uid would cost 28 bytes each in big plans).
             uids = tuple([task.uid for task in tasks])

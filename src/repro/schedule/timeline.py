@@ -50,7 +50,7 @@ def _touches_substrate(task) -> bool:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OpTask:
     """One schedulable unit of work with typed resource claims.
 
@@ -72,6 +72,14 @@ class OpTask:
     or is dropped), never before ``release_s`` — and does not count as
     arrived/queued until then. Such a task must have dependencies; with
     none there is no completion to wait on.
+
+    Slotted but not frozen, because construction is the cost: a served
+    frame builds one task per op, and a frozen class's ``__init__`` makes
+    one ``object.__setattr__`` call per field. Treat a task as immutable
+    all the same: the core caches what it derives from one (share plans
+    keyed by ``id(claims)``, the queued-frame view, ``drop_late``'s
+    expiry index), so a changed task is a new one, built with
+    :func:`dataclasses.replace`.
     """
 
     uid: int
@@ -114,9 +122,14 @@ class OpTask:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TimelineSegment:
-    """One task's placement on the timeline (completion-ordered)."""
+    """One task's placement on the timeline (completion-ordered).
+
+    Slotted but not frozen, like :class:`OpTask`: one is built per
+    completed task. Treat it as immutable, because timelines and reports
+    share these instances.
+    """
 
     uid: int
     name: str
@@ -139,9 +152,14 @@ class TimelineSegment:
         return self.elapsed_s / self.seconds
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DropRecord:
-    """One task cancelled by admission control before it started."""
+    """One task cancelled by admission control before it started.
+
+    Slotted but not frozen, like :class:`OpTask`: one is built per
+    dropped task. Treat it as immutable, because the timeline and the
+    streaming driver's callback share these instances.
+    """
 
     uid: int
     name: str
@@ -151,7 +169,7 @@ class DropRecord:
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PreemptRecord:
     """One kernel-boundary preemption event.
 
@@ -160,6 +178,9 @@ class PreemptRecord:
     frame (the kernel still runs later), or ``"abort"`` when a
     preemptive QoS policy cancelled a not-yet-started kernel outright
     (it never runs; the kernel already on the machine finishes).
+
+    Slotted but not frozen, like :class:`OpTask`. Treat it as immutable,
+    because timelines and reports share these instances.
     """
 
     uid: int

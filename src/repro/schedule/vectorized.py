@@ -560,12 +560,7 @@ class VectorCore:
             state = self.status.get(uid)
             self.status[uid] = _DROPPED
             record = DropRecord(
-                uid=uid,
-                name=task.name,
-                stream=task.stream,
-                frame=task.frame,
-                time_s=self.now,
-                reason=reason,
+                uid, task.name, task.stream, task.frame, self.now, reason
             )
             if self.collect:
                 self.drop_records.append(record)

@@ -1,11 +1,24 @@
 """Timeline engine unit tests: sharing math, ordering, determinism."""
 
+import copy
+
 import pytest
 
 from repro.errors import SchedulingError
 from repro.schedule.policies import make_policy
+from repro.schedule.reference import run_reference
 from repro.schedule.resources import ResourceClaim, ResourceKind
-from repro.schedule.timeline import OpTask, TimelineScheduler
+from repro.schedule.streams import ScenarioSpec, StreamSpec, instantiate_frames
+from repro.schedule.timeline import (
+    DropRecord,
+    OpTask,
+    PreemptRecord,
+    TimelineScheduler,
+    TimelineSegment,
+)
+from repro.serving.qos import QosSpec, make_qos
+from repro.serving.streaming import serve_streaming
+from repro.serving.traces import ArrivalSpec
 
 SIMD = (ResourceClaim(ResourceKind.SIMD),)
 ARRAY_AND_SIMD = (
@@ -277,3 +290,133 @@ class TestValidation:
         second = TimelineScheduler().run(tasks)
         assert first.makespan_s == second.makespan_s
         assert first.segments == second.segments
+
+
+# -- the engines never change what they are given --------------------------------------
+
+#: Three lowered chains with distinct share classes: the systolic array
+#: with the SIMD substrate, a TensorCore GEMM with fractional SIMD
+#: pressure then a copy, and a SIMD-only kernel.
+TEMPLATES = {
+    "det": [
+        OpTask(uid=0, name="conv", seconds=0.004, claims=ARRAY_AND_SIMD,
+               mode="systolic", cross_switch_s=1e-4),
+        OpTask(uid=1, name="nms", seconds=0.0015, claims=SIMD, deps=(0,)),
+    ],
+    "tra": [
+        OpTask(uid=0, name="gemm", seconds=0.003,
+               claims=(ResourceClaim(ResourceKind.TC),
+                       ResourceClaim(ResourceKind.SIMD, 0.25))),
+        OpTask(uid=1, name="copy", seconds=0.0004,
+               claims=(ResourceClaim(ResourceKind.TRANSFER),), deps=(0,)),
+    ],
+    "loc": [
+        OpTask(uid=0, name="track", seconds=0.002, claims=SIMD),
+        OpTask(uid=1, name="pose", seconds=0.001, claims=SIMD, deps=(0,)),
+    ],
+}
+
+
+def scenario(policy, qos, arrivals):
+    """Three overloaded streams of eight frames over :data:`TEMPLATES`,
+    each drawing its arrivals from ``arrivals(seed)``."""
+    return ScenarioSpec(
+        name=f"inputs-{policy}",
+        frames=8,
+        policy=policy,
+        qos=qos,
+        streams=tuple(
+            StreamSpec(name=name, model="synthetic", priority=priority,
+                       deadline_s=0.006, arrivals=arrivals(seed))
+            for seed, (name, priority) in enumerate(
+                (("det", 3.0), ("tra", 2.0), ("loc", 1.0)), start=1
+            )
+        ),
+    )
+
+
+def poisson(seed):
+    return ArrivalSpec(kind="poisson", rate_hz=600.0, seed=seed)
+
+
+def closed_loop(seed):
+    return ArrivalSpec(kind="closed_loop", think_s=0.001 * seed)
+
+
+PLANS = {
+    "priority-drop_late": scenario(
+        "priority", QosSpec(kind="drop_late"), poisson
+    ),
+    "closed_loop": scenario("priority", None, closed_loop),
+    "exclusive_preempt-abort_late": scenario(
+        "exclusive_preempt", QosSpec(kind="abort_late"), poisson
+    ),
+}
+
+
+def assert_unchanged(tasks, copies):
+    """Each task equals its copy taken beforehand and still holds the
+    same claims object: share plans are keyed by ``id(claims)``."""
+    assert list(tasks) == copies
+    for task, before in zip(tasks, copies):
+        assert task.claims is before.claims
+
+
+class TestInputsStayUnchanged:
+    """The four records are slotted, not frozen, so nothing in the type
+    stops an engine from rewriting a task it was given. Closed-loop
+    pacing must replace a task (``dataclasses.replace``), never assign
+    to it."""
+
+    @pytest.mark.parametrize("name", PLANS)
+    def test_engines_leave_tasks_unchanged(self, name):
+        spec = PLANS[name]
+        plan = instantiate_frames(spec, TEMPLATES)
+        copies = [copy.copy(task) for task in plan.tasks]
+        timelines = [
+            engine(
+                TimelineScheduler(spec.policy, qos=make_qos(spec.qos)),
+                plan.tasks,
+            )
+            for engine in (TimelineScheduler.run, run_reference)
+        ]
+        assert timelines[0] == timelines[1]
+        assert_unchanged(plan.tasks, copies)
+        # Each plan reaches what it is here for: drops, or paced heads
+        # whose releases the engines rewrite, and in the preemptive plan
+        # aborts and deschedules as well.
+        timeline = timelines[0]
+        assert timeline.drops or any(task.think_s for task in plan.tasks)
+        if spec.policy == "exclusive_preempt":
+            actions = {record.action for record in timeline.preemptions}
+            assert actions == {"abort", "deschedule"}
+
+    @pytest.mark.parametrize(
+        "name", [name for name in PLANS if name != "closed_loop"]
+    )
+    def test_streaming_leaves_templates_unchanged(self, name):
+        spec = PLANS[name]
+        copies = {
+            stream: [copy.copy(task) for task in chain]
+            for stream, chain in TEMPLATES.items()
+        }
+        report = serve_streaming(
+            spec, TEMPLATES, platform="synthetic", keep_records=True
+        )
+        assert report.offered == 3 * spec.frames
+        for stream, chain in TEMPLATES.items():
+            assert_unchanged(chain, copies[stream])
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            TEMPLATES["det"][0],
+            TimelineSegment(0, "op", "s", 0, "simd", 0.0, 1.0, 1.0),
+            DropRecord(0, "op", "s", 0, 0.5, "deadline"),
+            PreemptRecord(0, "op", "s", 0, 0.5, "deadline"),
+        ],
+        ids=lambda record: type(record).__name__,
+    )
+    def test_records_reject_undeclared_attributes(self, record):
+        with pytest.raises(AttributeError):
+            record.colour = "red"
