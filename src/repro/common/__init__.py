@@ -1,4 +1,4 @@
-"""Shared infrastructure: units, tiling math, counters, table rendering."""
+"""Shared infrastructure: tiling math, seeding, counters, table rendering."""
 
 from repro.common.mathutil import (
     ceil_div,
@@ -13,44 +13,18 @@ from repro.common.mathutil import (
 from repro.common.seeding import derive_seed
 from repro.common.stats import CounterBag
 from repro.common.tables import format_quantity, render_table
-from repro.common.units import (
-    GIGA,
-    KIB,
-    MEGA,
-    MIB,
-    cycles_to_ms,
-    cycles_to_seconds,
-    cycles_to_us,
-    flops_to_tflops,
-    human_bytes,
-    human_flops,
-    ms_to_cycles,
-    seconds_to_cycles,
-)
 
 __all__ = [
-    "GIGA",
-    "KIB",
-    "MEGA",
-    "MIB",
     "CounterBag",
     "ceil_div",
     "clamp",
-    "cycles_to_ms",
-    "cycles_to_seconds",
-    "cycles_to_us",
     "derive_seed",
-    "flops_to_tflops",
     "format_quantity",
-    "human_bytes",
-    "human_flops",
     "is_power_of_two",
     "log2_int",
-    "ms_to_cycles",
     "prod",
     "render_table",
     "round_up",
-    "seconds_to_cycles",
     "split_range",
     "tile_spans",
 ]

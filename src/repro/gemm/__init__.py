@@ -1,9 +1,8 @@
-"""GEMM problems, Fig-6 tiling, numpy reference, kernel traces, executor."""
+"""GEMM problems, Fig-6 tiling, conv->GEMM shapes, kernel traces, executor."""
 
 from repro.gemm.cache import CacheStats, TimingCache, process_cache
-from repro.gemm.functional import TiledGemmResult, tiled_systolic_gemm
 from repro.gemm.problem import GemmProblem
-from repro.gemm.reference import conv_output_shape, conv_to_gemm, im2col, reference_gemm
+from repro.gemm.reference import conv_output_shape, conv_to_gemm
 from repro.gemm.tiling import ThreadBlockTile, TilingPlan, plan_gemm
 
 __all__ = [
@@ -11,13 +10,9 @@ __all__ = [
     "GemmProblem",
     "TimingCache",
     "ThreadBlockTile",
-    "TiledGemmResult",
     "TilingPlan",
     "conv_output_shape",
     "conv_to_gemm",
-    "im2col",
     "plan_gemm",
     "process_cache",
-    "reference_gemm",
-    "tiled_systolic_gemm",
 ]

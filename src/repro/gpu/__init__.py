@@ -1,6 +1,5 @@
 """Cycle-level GPU substrate: SM pipeline, memory system, warp schedulers."""
 
-from repro.gpu.caches import CacheModel
 from repro.gpu.coalescer import coalesce
 from repro.gpu.dram import DramModel
 from repro.gpu.gpu import GpuTimingModel, KernelLaunch, LaunchResult
@@ -17,7 +16,6 @@ from repro.gpu.shared_memory import SharedMemoryModel
 from repro.gpu.sm import KernelSpec, SmResult, StreamingMultiprocessor
 
 __all__ = [
-    "CacheModel",
     "DramModel",
     "GpuTimingModel",
     "GreedyThenOldestScheduler",

@@ -7,21 +7,16 @@ asynchronous ``LSMA`` instruction and a dedicated systolic controller.
 """
 
 from repro.sma.controller import SystolicControllerModel
-from repro.sma.lsma import LsmaOperation, execute_lsma
 from repro.sma.mapping import SmaGemmMapper, SmaKernelShape
 from repro.sma.mode import ExecutionMode, ModeSwitchTracker
 from repro.sma.sync import WarpSetPartition, make_double_buffer_groups
-from repro.sma.unit import SmaUnit
 
 __all__ = [
     "ExecutionMode",
-    "LsmaOperation",
     "ModeSwitchTracker",
     "SmaGemmMapper",
     "SmaKernelShape",
-    "SmaUnit",
     "SystolicControllerModel",
     "WarpSetPartition",
-    "execute_lsma",
     "make_double_buffer_groups",
 ]

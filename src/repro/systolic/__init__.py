@@ -1,6 +1,10 @@
-"""Cycle-level systolic-array substrate (functional + timing + access traces)."""
+"""Systolic-array dataflows: fill/stream/drain cost and feed/drain schedules.
 
-from repro.systolic.array import GemmRunResult, SystolicArray
+``analyze_dataflow_cost`` is what the SMA controller charges. Its oracle, a
+cycle-stepped array that computes real products, lives with the tests
+(``tests/systolic/reference_array.py``); nothing in production runs it.
+"""
+
 from repro.systolic.dataflow import (
     Dataflow,
     DataflowCost,
@@ -13,15 +17,11 @@ from repro.systolic.feeders import (
     output_coords_semi_broadcast,
     output_coords_weight_stationary,
 )
-from repro.systolic.pe import ProcessingElement
 
 __all__ = [
     "Dataflow",
     "DataflowCost",
     "DataflowTraits",
-    "GemmRunResult",
-    "ProcessingElement",
-    "SystolicArray",
     "analyze_dataflow_cost",
     "diagonal_a_coords",
     "output_coords_semi_broadcast",

@@ -12,8 +12,6 @@ coordinates to bank addresses. The key asymmetry (paper SS III-B):
 
 from __future__ import annotations
 
-from typing import Iterator
-
 
 def diagonal_a_coords(
     cycle: int, m_extent: int, k_extent: int
@@ -60,13 +58,3 @@ def output_coords_weight_stationary(
             coords.append((m, n))
     return coords
 
-
-def streaming_cycle_range(
-    m_extent: int, k_extent: int, n_extent: int, diagonal_output: bool
-) -> Iterator[int]:
-    """Cycles during which the array is streaming or draining."""
-    if diagonal_output:
-        total = m_extent + k_extent + n_extent - 1
-    else:
-        total = m_extent + k_extent - 1
-    return iter(range(total))

@@ -1,7 +1,5 @@
-"""TensorCore model: dot-product-based 4x4x4 MMA with RF-bound timing."""
+"""TensorCore timing: the register-file-bound closed-form GEMM estimate."""
 
-from repro.tensorcore.dot_product import dot4
-from repro.tensorcore.tensor_core import TensorCore, WmmaOp
 from repro.tensorcore.timing import (
     TcGemmEstimate,
     estimate_tc_gemm_efficiency,
@@ -10,9 +8,6 @@ from repro.tensorcore.timing import (
 
 __all__ = [
     "TcGemmEstimate",
-    "TensorCore",
-    "WmmaOp",
-    "dot4",
     "estimate_tc_gemm_efficiency",
     "wmma_schedule",
 ]

@@ -22,8 +22,11 @@ from repro.common.mathutil import ceil_div
 from repro.config import GpuConfig
 from repro.errors import SimulationError
 from repro.gpu.gpu import DEFAULT_LAUNCH_OVERHEAD_CYCLES
-from repro.tensorcore.tensor_core import HMMA_REG_READS, HMMA_REG_WRITES
 
+#: Warp-wide register operands read (A pair, B pair, 4 accumulators) and
+#: written (4 accumulators) by one HMMA step.
+HMMA_REG_READS = 8
+HMMA_REG_WRITES = 4
 #: Cycles of barrier/fragment-shuffle overhead per warp-tile K-iteration.
 SYNC_OVERHEAD_CYCLES = 24.0
 #: Steady-state K-iteration length of a 64x64 warp tile (256 HMMA steps).

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.stats import CounterBag
-from repro.gpu.caches import CacheModel
 from repro.gpu.coalescer import coalesce
 from repro.gpu.shared_memory import SharedMemoryModel
 from repro.isa.instructions import MemAccess, MemSpace
@@ -53,30 +52,6 @@ class TestCoalescerProperties:
         assert 1 <= result.sectors <= len(addresses)
         assert result.lines <= result.sectors
         assert 0 < result.efficiency <= 1.0
-
-
-class TestCacheProperties:
-    @given(st.lists(st.integers(0, 63), min_size=1, max_size=200))
-    @settings(max_examples=40, deadline=None)
-    def test_stats_conserved(self, lines):
-        cache = CacheModel(capacity_bytes=2048, line_bytes=128, associativity=2)
-        for line in lines:
-            cache.access(line * 128)
-        stats = cache.stats
-        assert stats.hits + stats.misses == len(lines)
-        assert stats.evictions <= stats.misses
-        assert cache.resident_lines <= 16
-
-    @given(st.lists(st.integers(0, 7), min_size=1, max_size=50))
-    @settings(max_examples=40, deadline=None)
-    def test_small_working_set_all_hits_after_warmup(self, lines):
-        cache = CacheModel(capacity_bytes=2048, line_bytes=128, associativity=16)
-        for line in set(lines):
-            cache.access(line * 128)
-        before = cache.stats.hits
-        for line in lines:
-            assert cache.access(line * 128)
-        assert cache.stats.hits == before + len(lines)
 
 
 class TestCounterBagProperties:

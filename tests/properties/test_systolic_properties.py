@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.systolic.array import SystolicArray
 from repro.systolic.dataflow import Dataflow, analyze_dataflow_cost
+from tests.systolic.reference_array import SystolicArray
 
 _ELEMENTS = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
@@ -88,23 +88,27 @@ class TestCostModelMatchesArray:
     """The SMA controller charges ``analyze_dataflow_cost``; the
     cycle-stepped array is its oracle. Like ArrayFlex's and ReDas's closed
     forms, the ideal latency is fill, stream and drain: M + K - 1 cycles
-    for semi-broadcast, M + K + N - 2 for weight-stationary."""
+    for semi-broadcast, M + K + N - 2 for weight- and output-stationary."""
 
     @given(
-        dataflow=st.sampled_from(
-            (Dataflow.SEMI_BROADCAST_WS, Dataflow.WEIGHT_STATIONARY)
-        ),
+        dataflow=st.sampled_from(tuple(Dataflow)),
         rows=st.integers(min_value=4, max_value=16),
         cols=st.integers(min_value=4, max_value=24),
-        m=st.integers(min_value=1, max_value=200),
+        stream=st.integers(min_value=1, max_value=200),
     )
     @settings(max_examples=40, deadline=None)
-    def test_ideal_streaming_cycles_equal_the_arrays(self, dataflow, rows, cols, m):
-        # Semi-broadcast arrays are N x K, weight-stationary ones K x N.
+    def test_ideal_streaming_cycles_equal_the_arrays(
+        self, dataflow, rows, cols, stream
+    ):
+        # Semi-broadcast arrays are N x K and weight-stationary ones K x N,
+        # with M rows of A streamed; output-stationary ones are M x N, with
+        # a K-deep reduction streamed.
         if dataflow is Dataflow.SEMI_BROADCAST_WS:
-            n, k = rows, cols
+            m, n, k = stream, rows, cols
+        elif dataflow is Dataflow.WEIGHT_STATIONARY:
+            m, k, n = stream, rows, cols
         else:
-            k, n = rows, cols
+            m, n, k = rows, cols, stream
         a = np.arange(m * k, dtype=np.float64).reshape(m, k) % 7 + 1
         b = np.arange(k * n, dtype=np.float64).reshape(k, n) % 5 + 1
         result = SystolicArray(rows, cols, dataflow).run_gemm(a, b)

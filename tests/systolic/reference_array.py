@@ -1,15 +1,21 @@
-"""Cycle-by-cycle functional simulation of a systolic array.
+"""Cycle-by-cycle simulation of a systolic array: the oracle of the cost model.
 
 Every dataflow is simulated at register-transfer granularity (what value sits
 in which PE at which cycle) using vectorised numpy state. The result matrix
-is bit-identical to ``A @ B`` in float64, which the property-based tests
-assert; the cycle counts are the fill/stream/drain times that the SMA
-controller and TPU timing models build on.
+equals ``A @ B`` in float64, and the streaming cycle count is the fill,
+stream and drain time that ``repro.systolic.dataflow.analyze_dataflow_cost``
+charges in closed form.
+
+Nothing on a production path runs it. Its callers are the properties in
+``tests/properties/test_systolic_properties.py``, which hold the production
+cost model to it for every dataflow, and its own tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import SimulationError
 from repro.systolic.dataflow import Dataflow
@@ -27,11 +33,6 @@ class GemmRunResult:
     macs: int
     a_reads: int
     c_writes: int
-
-    @property
-    def utilization(self) -> float:
-        """MACs issued / (cycles x array MAC capacity) — needs array size."""
-        return self.macs / max(1, self.cycles)
 
 
 class SystolicArray:
@@ -68,8 +69,6 @@ class SystolicArray:
         the cycle budget. ``overlap_weight_load`` models double-buffered
         weights (load hidden behind the previous tile's streaming).
         """
-        import numpy as np
-
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -88,8 +87,6 @@ class SystolicArray:
     def _run_semi_broadcast(
         self, a: np.ndarray, b: np.ndarray, overlap: bool
     ) -> GemmRunResult:
-        import numpy as np
-
         m_extent, k_extent = a.shape
         _, n_extent = b.shape
         if n_extent != self.rows or k_extent != self.cols:
@@ -131,8 +128,6 @@ class SystolicArray:
     def _run_weight_stationary(
         self, a: np.ndarray, b: np.ndarray, overlap: bool
     ) -> GemmRunResult:
-        import numpy as np
-
         m_extent, k_extent = a.shape
         _, n_extent = b.shape
         if k_extent != self.rows or n_extent != self.cols:
@@ -180,8 +175,6 @@ class SystolicArray:
     def _run_output_stationary(
         self, a: np.ndarray, b: np.ndarray
     ) -> GemmRunResult:
-        import numpy as np
-
         m_extent, k_extent = a.shape
         _, n_extent = b.shape
         if m_extent != self.rows or n_extent != self.cols:

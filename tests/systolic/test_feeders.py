@@ -1,11 +1,37 @@
 """Feed/drain schedule tests."""
 
+from repro.systolic.dataflow import Dataflow, analyze_dataflow_cost
 from repro.systolic.feeders import (
     diagonal_a_coords,
     output_coords_semi_broadcast,
     output_coords_weight_stationary,
-    streaming_cycle_range,
 )
+
+#: (M, K, N) tile shapes the drain schedules are checked on.
+_SHAPES = [
+    (m, k, n)
+    for m in (1, 2, 5, 8, 16, 33, 128)
+    for k in (1, 2, 3, 8, 16)
+    for n in (1, 2, 4, 8, 16)
+]
+
+
+def _assert_drains_exactly_once(dataflow, schedule):
+    """Over the cost model's streaming cycles, ``schedule`` emits every C
+    element once, the last in the final cycle, and nothing afterwards."""
+    for m, k, n in _SHAPES:
+        ideal = analyze_dataflow_cost(dataflow, m, k, n).ideal_streaming_cycles
+        emitted = [
+            (cycle, coord)
+            for cycle in range(ideal)
+            for coord in schedule(cycle, m, k, n)
+        ]
+        coords = sorted(coord for _cycle, coord in emitted)
+        assert coords == [(row, col) for row in range(m) for col in range(n)]
+        assert max(cycle for cycle, _coord in emitted) == ideal - 1
+        assert not any(
+            schedule(cycle, m, k, n) for cycle in range(ideal, ideal + m + k + n)
+        )
 
 
 class TestDiagonalFeed:
@@ -44,15 +70,11 @@ class TestOutputSchedules:
         assert rows == sorted(rows, reverse=True)
 
     def test_total_outputs_cover_matrix(self):
-        seen = set()
-        for cycle in streaming_cycle_range(16, 8, 8, diagonal_output=True):
-            for coord in output_coords_weight_stationary(cycle, 16, 8, 8):
-                seen.add(coord)
-        assert seen == {(m, n) for m in range(16) for n in range(8)}
+        _assert_drains_exactly_once(
+            Dataflow.WEIGHT_STATIONARY, output_coords_weight_stationary
+        )
 
     def test_semi_broadcast_covers_matrix(self):
-        seen = set()
-        for cycle in streaming_cycle_range(16, 8, 8, diagonal_output=False):
-            for coord in output_coords_semi_broadcast(cycle, 16, 8, 8):
-                seen.add(coord)
-        assert seen == {(m, n) for m in range(16) for n in range(8)}
+        _assert_drains_exactly_once(
+            Dataflow.SEMI_BROADCAST_WS, output_coords_semi_broadcast
+        )
