@@ -1,4 +1,4 @@
-"""CLI tests for the Session-backed subcommands."""
+"""CLI tests for the Session-backed subcommands and `catalog`."""
 
 import json
 
@@ -35,7 +35,68 @@ class TestBench:
             main(["bench", "12xbanana"])
 
 
+class TestCatalog:
+    def test_list_table_names_every_device(self, capsys):
+        from repro.catalog.loader import device_names, get_device
+
+        assert main(["catalog", "list"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("device catalog")
+        for name in device_names():
+            row = next(line for line in out.splitlines()
+                       if line.split("|")[0].strip() == name)
+            assert get_device(name).fingerprint() in row
+
+    def test_list_json_is_every_device_spec(self, capsys):
+        from repro.catalog.loader import device_names, get_device
+
+        assert main(["catalog", "list", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data == [get_device(name).to_dict() for name in device_names()]
+
+    def test_show_table_lists_config_and_interference(self, capsys):
+        assert main(["catalog", "show", "volta"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("device v100")
+        rows = {
+            cells[0].strip(): cells[1].strip()
+            for cells in (line.split("|") for line in out.splitlines())
+            if len(cells) == 2
+        }
+        assert rows["family"] == "gpu"
+        assert rows["gpu.num_sms"] == "80"
+        assert rows["gpu.tensor_cores_per_sm"] == "4"
+        assert "interference.tc->simd" in rows
+
+    def test_show_tpu_device_lists_its_tpu_config(self, capsys):
+        assert main(["catalog", "show", "tpu-v2"]) == 0
+        out = capsys.readouterr().out
+        assert "tpu." in out
+        assert "gpu." not in out
+
+    def test_show_json_is_the_device_spec(self, capsys):
+        from repro.catalog.loader import get_device
+        from repro.catalog.specs import DeviceSpec
+
+        assert main(["catalog", "show", "a100", "--json"]) == 0
+        spec = DeviceSpec.from_json(capsys.readouterr().out)
+        assert spec == get_device("a100")
+
+    def test_unknown_device_is_clean_error(self, capsys):
+        assert main(["catalog", "show", "banana"]) == 2
+        assert "unknown device 'banana'" in capsys.readouterr().err
+
+
 class TestSimulate:
+    def test_table_lists_each_platform(self, capsys):
+        assert main(["simulate", "alexnet", "sma:2", "gpu-tc"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("alexnet: end-to-end latency per platform")
+        platforms = [line.split("|")[0].strip() for line in out.splitlines()
+                     if "|" in line][1:]
+        assert platforms == ["sma:2", "gpu-tc"]
+        assert "shared GEMM cache" in out
+
     def test_json(self, capsys):
         assert main(["simulate", "alexnet", "sma:2", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -45,6 +106,23 @@ class TestSimulate:
     def test_unknown_model_is_clean_error(self, capsys):
         assert main(["simulate", "resnext", "sma:2"]) == 2
         assert "unknown model" in capsys.readouterr().err
+
+
+class TestSweepTable:
+    def test_table_marks_simulated_then_stored_points(self, tmp_path, capsys):
+        store = tmp_path / "sweep.sqlite"
+        argv = ["sweep", "-p", "sma:2", "-p", "gpu-tc", "-g", "64",
+                "--store", str(store)]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert "sweep: 2 requests, 1 worker(s), 2 simulated," in first
+        assert f"result store: {store} (2 results)" in first
+        assert main(argv + ["--resume"]) == 0
+        second = capsys.readouterr().out
+        assert "0 simulated, 2 loaded from store" in second
+        sources = [line.split("|")[-1].strip() for line in second.splitlines()
+                   if "64x64x64" in line]
+        assert sources == ["store", "store"]
 
 
 class TestStoreDiff:

@@ -1,7 +1,7 @@
 """CLI error paths: bad inputs must exit 2 with a clean stderr message.
 
-Covers `repro scenario`, `repro serve`, `repro sweep`, and
-`repro store-diff` — bad spec files, unknown platform/model strings, and
+Covers `repro scenario`, `repro serve`, `repro sweep`, `repro store-diff`
+and `repro fuzz` — bad spec files, unknown platform/model strings, and
 conflicting flags (no tracebacks, no partial output on stdout).
 """
 
@@ -78,6 +78,20 @@ class TestScenarioErrors:
             "bad value",
         )
 
+    def test_stream_without_model(self, capsys):
+        expect_error(
+            capsys,
+            ["scenario", "-p", "sma:2", "-s", "@prio=2"],
+            "has no model spec",
+        )
+
+    def test_stream_option_without_value(self, capsys):
+        expect_error(
+            capsys,
+            ["scenario", "-p", "sma:2", "-s", "alexnet@prio"],
+            "expected key=value",
+        )
+
 
 class TestServeErrors:
     def test_unknown_qos_kind(self, capsys):
@@ -92,6 +106,43 @@ class TestServeErrors:
             capsys,
             ["serve", "-p", "sma:2", "-s", "alexnet", "--qos", "queue_cap"],
             "needs a cap",
+        )
+
+    def test_drop_late_takes_one_slack(self, capsys):
+        expect_error(
+            capsys,
+            ["serve", "-p", "sma:2", "-s", "alexnet",
+             "--qos", "drop_late:0.1:0.2"],
+            "at most one slack value",
+        )
+
+    def test_queue_cap_takes_one_cap(self, capsys):
+        expect_error(
+            capsys,
+            ["serve", "-p", "sma:2", "-s", "alexnet", "--qos", "queue_cap:4:2"],
+            "queue_cap takes one cap",
+        )
+
+    def test_shed_takes_cap_and_min_priority(self, capsys):
+        expect_error(
+            capsys,
+            ["serve", "-p", "sma:2", "-s", "alexnet", "--qos", "shed:4:2:1"],
+            "shed takes cap[:min_priority]",
+        )
+
+    def test_non_numeric_qos_parameter(self, capsys):
+        expect_error(
+            capsys,
+            ["serve", "-p", "sma:2", "-s", "alexnet", "--qos", "shed:many"],
+            "bad numeric parameter",
+        )
+
+    def test_empty_rates_list(self, capsys):
+        expect_error(
+            capsys,
+            ["serve", "-p", "sma:2", "-s", "alexnet", "--explore",
+             "--rates", ","],
+            "needs at least one arrival rate",
         )
 
     def test_explore_needs_rates(self, capsys):
@@ -252,4 +303,29 @@ class TestStoreDiffErrors:
             capsys,
             ["store-diff", str(left), str(tmp_path / "right.sqlite")],
             "does not exist",
+        )
+
+
+class TestFuzzFileErrors:
+    def test_missing_fuzz_file(self, capsys, tmp_path):
+        expect_error(
+            capsys,
+            ["fuzz", "replay", str(tmp_path / "absent.json")],
+            "cannot read fuzz file",
+        )
+
+    def test_fuzz_file_not_json(self, capsys, tmp_path):
+        path = tmp_path / "case.json"
+        path.write_text("{not json")
+        expect_error(
+            capsys, ["fuzz", "replay", str(path)], "is not valid JSON"
+        )
+
+    def test_fuzz_file_not_an_object(self, capsys, tmp_path):
+        path = tmp_path / "case.json"
+        path.write_text("[1, 2]")
+        expect_error(
+            capsys,
+            ["fuzz", "shrink", str(path), "-o", str(tmp_path / "min.json")],
+            "must hold a JSON object",
         )

@@ -38,6 +38,18 @@ class TestFraming:
         with pytest.raises(ClusterProtocolError, match="UTF-8"):
             protocol.decode_message(b"\xff\xfe\n")
 
+    def test_oversized_outgoing_frame_rejected(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 64)
+        with pytest.raises(ClusterProtocolError, match="64-byte frame limit"):
+            protocol.encode_message(protocol.submit_message(tuple(GRID), 0.0))
+
+    def test_oversized_incoming_frame_rejected(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 64)
+        line = protocol.encode_message(protocol.hello_message())
+        assert protocol.decode_message(line) == protocol.hello_message()
+        with pytest.raises(ClusterProtocolError, match="64-byte limit"):
+            protocol.decode_message(b" " * 65)
+
 
 class TestVersioning:
     def test_current_version_passes(self):
@@ -83,6 +95,10 @@ class TestPoints:
         with pytest.raises(FingerprintMismatchError):
             protocol.verify_points(points, None)
 
+    def test_point_must_be_an_object(self):
+        with pytest.raises(ClusterProtocolError, match="must be an object"):
+            protocol.point_from_wire(["request_id", "fingerprint"])
+
     def test_point_from_wire_rejects_garbage(self):
         with pytest.raises(ClusterProtocolError):
             protocol.point_from_wire({"request_id": "x"})
@@ -115,6 +131,27 @@ class TestResults:
     def test_parse_result_rejects_wrong_type(self):
         with pytest.raises(ClusterProtocolError, match="expected a result"):
             protocol.parse_result(protocol.hello_message())
+
+    def test_parse_result_rejects_an_entry_without_request_id(self):
+        message = {"type": "result", "reports": [{"report": {}}]}
+        with pytest.raises(ClusterProtocolError, match="malformed result"):
+            protocol.parse_result(message)
+
+    def test_parse_result_rejects_an_undecodable_report(self):
+        message = {
+            "type": "result",
+            "reports": [{"request_id": "r0", "report": {"kind": "nope"}}],
+        }
+        with pytest.raises(ClusterProtocolError, match="'r0' is undecodable"):
+            protocol.parse_result(message)
+
+    def test_cache_blob_must_hold_cache_entries(self):
+        import base64
+        import pickle
+
+        blob = base64.b64encode(pickle.dumps({"timings": {}})).decode("ascii")
+        with pytest.raises(ClusterProtocolError, match="expected CacheEntries"):
+            protocol.decode_cache_entries(blob)
 
     def test_cache_blob_round_trip_rejects_garbage(self):
         entries = CacheEntries(timings={}, windows={})
@@ -151,5 +188,21 @@ class TestErrors:
         )
         assert protocol.error_code_for(ValueError("x")) == "internal"
 
+    def test_unknown_error_code_rejected(self):
+        with pytest.raises(ClusterProtocolError, match="unknown error code"):
+            protocol.error_message("meltdown", "boom")
+
     def test_non_error_frames_pass_through(self):
         protocol.raise_for_error(protocol.hello_message())
+
+
+class TestFuzzResults:
+    def test_parse_fuzz_result_rejects_wrong_type(self):
+        with pytest.raises(ClusterProtocolError, match="expected a fuzz_result"):
+            protocol.parse_fuzz_result(protocol.hello_message())
+
+    def test_parse_fuzz_result_rejects_an_undecodable_record(self):
+        message = protocol.fuzz_result_message(())
+        message["records"] = [{"index": "zero"}]
+        with pytest.raises(ClusterProtocolError, match="record is undecodable"):
+            protocol.parse_fuzz_result(message)

@@ -46,6 +46,21 @@ class TestServeTable:
         assert data["offered"] == 6
         assert data["qos"] == {"kind": "drop_late", "slack_s": 0.05}
 
+    @pytest.mark.parametrize(
+        ("option", "qos"),
+        [
+            ("abort_late", {"kind": "abort_late"}),
+            ("queue_cap:2", {"kind": "queue_cap", "cap": 2}),
+            ("shed:4", {"kind": "shed", "cap": 4}),
+            ("shed:4:2", {"kind": "shed", "cap": 4, "min_priority": 2.0}),
+        ],
+    )
+    def test_qos_option_reaches_the_report(self, capsys, option, qos):
+        argv = list(SERVE_ARGS)
+        argv[argv.index("--qos") + 1] = option
+        assert main(argv + ["--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["qos"] == qos
+
     def test_explore_output(self, capsys):
         assert main([
             "serve", "-p", "sma:2", "--frames", "2",

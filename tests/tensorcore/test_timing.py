@@ -58,6 +58,15 @@ class TestWmmaSchedule:
         assert schedule["a_fragment_loads"] == 16
         assert schedule["b_fragment_loads"] == 16
 
+    def test_register_appetite(self):
+        """The RF traffic that caps TC efficiency (paper SS II-A): each of
+        a 16x16x16 WMMA's 16 HMMA steps reads 8 warp-wide operands and
+        writes 4."""
+        schedule = wmma_schedule(16, 16, 16)
+        assert schedule["wmmas"] == 1
+        assert schedule["hmma_reg_reads"] == 16 * 8
+        assert schedule["hmma_reg_writes"] == 16 * 4
+
     def test_alignment_enforced(self):
         with pytest.raises(SimulationError):
             wmma_schedule(60, 64, 16)
