@@ -1581,35 +1581,49 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "list":
-            return _cmd_list()
-        if args.command == "catalog":
-            return _cmd_catalog(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args.model, args.platforms, args.json)
-        if args.command == "bench":
-            return _cmd_bench(
-                args.gemm, args.platforms or list(BENCH_PLATFORMS), args.json
-            )
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "scenario":
-            return _cmd_scenario(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
-        if args.command == "cluster":
-            return _cmd_cluster(args)
-        if args.command == "fuzz":
-            return _cmd_fuzz(args)
-        if args.command == "store-diff":
-            return _cmd_store_diff(args)
-        if args.command == "run":
-            return _cmd_run(args.names)
-        if args.command == "export":
-            return _cmd_export(args.output, args.names or None)
+        code = _dispatch(args)
+        # Flush here, not at exit, so a reader that closed the pipe
+        # early (``repro list | head -1``) raises inside this block.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python's documented recipe: point stdout at devnull so the
+        # flush at exit cannot raise again, and exit 1 as on EPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    return code
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    if args.command == "list":
+        return _cmd_list()
+    if args.command == "catalog":
+        return _cmd_catalog(args)
+    if args.command == "simulate":
+        return _cmd_simulate(args.model, args.platforms, args.json)
+    if args.command == "bench":
+        return _cmd_bench(
+            args.gemm, args.platforms or list(BENCH_PLATFORMS), args.json
+        )
+    if args.command == "sweep":
+        return _cmd_sweep(args)
+    if args.command == "scenario":
+        return _cmd_scenario(args)
+    if args.command == "serve":
+        return _cmd_serve(args)
+    if args.command == "cluster":
+        return _cmd_cluster(args)
+    if args.command == "fuzz":
+        return _cmd_fuzz(args)
+    if args.command == "store-diff":
+        return _cmd_store_diff(args)
+    if args.command == "run":
+        return _cmd_run(args.names)
+    if args.command == "export":
+        return _cmd_export(args.output, args.names or None)
     raise AssertionError("unreachable")
 
 

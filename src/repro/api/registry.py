@@ -24,10 +24,10 @@ from typing import Callable
 
 from repro.config import (
     DataType,
+    GpuConfig,
+    SmaConfig,
     SystemConfig,
-    system_gpu_4tc,
-    system_gpu_simd,
-    system_sma,
+    volta_gpu,
 )
 from repro.dnn.graph import LayerGraph
 from repro.dnn.zoo import (
@@ -222,39 +222,13 @@ def available_platforms() -> dict[str, str]:
     }
 
 
-# -- built-in platforms -------------------------------------------------------
+# -- GPU platforms -----------------------------------------------------------
 
-
-def _gemm_gpu_simd(*args: str) -> tuple[SystemConfig, str]:
-    _no_args("gpu-simd", args)
-    return system_gpu_simd(), "simd"
-
-
-@register_platform(
-    "gpu-simd",
-    description="baseline Volta, every op on the FP32 CUDA cores",
-    aliases=("simd",),
-    gemm=_gemm_gpu_simd,
-)
-def _build_gpu_simd(*args: str, cache=None, **kwargs) -> Platform:
-    _no_args("gpu-simd", args)
-    return GpuSimdPlatform(cache=cache, **kwargs)
-
-
-def _gemm_gpu_tc(*args: str) -> tuple[SystemConfig, str]:
-    _no_args("gpu-tc", args)
-    return system_gpu_4tc(), "tc"
-
-
-@register_platform(
-    "gpu-tc",
-    description="Volta with GEMMs on the 4 TensorCores per SM",
-    aliases=("tc", "gpu-4tc"),
-    gemm=_gemm_gpu_tc,
-)
-def _build_gpu_tc(*args: str, cache=None, **kwargs) -> Platform:
-    _no_args("gpu-tc", args)
-    return GpuTcPlatform(cache=cache, **kwargs)
+#: The platform class of each GEMM backend a GPU registers.
+_GPU_PLATFORMS = {
+    cls.backend: cls
+    for cls in (GpuTcPlatform, GpuSimdPlatform, GpuSmaPlatform)
+}
 
 
 def _sma_parts(args: tuple[str, ...]) -> tuple[int, DataType]:
@@ -269,17 +243,86 @@ def _sma_parts(args: tuple[str, ...]) -> tuple[int, DataType]:
     return units, dtype
 
 
-@register_platform(
-    "sma",
-    description="GPU with N SMA units per SM (sma[:UNITS[,DTYPE]])",
-    aliases=("gpu-sma",),
-    gemm=lambda *args: (system_sma(*_sma_parts(args)), "sma"),
-)
-def _build_sma(*args: str, cache=None, **kwargs) -> Platform:
-    units, dtype = _sma_parts(args)
-    return GpuSmaPlatform(
-        units, system=system_sma(units, dtype), cache=cache, **kwargs
+def register_gpu_platforms(
+    prefix: str,
+    gpu: GpuConfig,
+    flavors: dict[str, tuple[str, str, tuple[str, ...]]],
+    interference=None,
+) -> tuple[str, ...]:
+    """Register one GPU's TensorCore, SIMD and SMA platforms.
+
+    ``flavors`` maps each GEMM backend (``"tc"``, ``"simd"``, ``"sma"``)
+    to its platform's registry name, description and aliases. The
+    flavors time on systems named ``PREFIX-4tc``, ``PREFIX-simd`` and
+    ``PREFIX-<UNITS>sma``, which every SM window and timing key embeds.
+    The SMA flavor takes ``[:UNITS[,DTYPE]]`` (3 FP16 units by default),
+    the others no argument. Returns every name and alias registered.
+    """
+
+    def register(backend, name, description, aliases) -> tuple[str, ...]:
+        def system(args: tuple[str, ...]) -> SystemConfig:
+            if backend != "sma":
+                _no_args(name, args)
+                suffix = "4tc" if backend == "tc" else "simd"
+                return SystemConfig(name=f"{prefix}-{suffix}", gpu=gpu)
+            units, dtype = _sma_parts(args)
+            return SystemConfig(
+                name=f"{prefix}-{units}sma",
+                gpu=gpu,
+                sma=SmaConfig(units_per_sm=units, dtype=dtype),
+            )
+
+        def build(*args: str, cache=None, **kwargs) -> Platform:
+            return _GPU_PLATFORMS[backend](
+                system=system(args),
+                cache=cache,
+                interference=interference,
+                **kwargs,
+            )
+
+        register_platform(
+            name,
+            description=description,
+            aliases=aliases,
+            gemm=lambda *args: (system(args), backend),
+        )(build)
+        return (name, *aliases)
+
+    return tuple(
+        key
+        for backend, flavor in flavors.items()
+        for key in register(backend, *flavor)
     )
+
+
+# The paper's Volta. The catalog registers the same GPU as ``v100``, but
+# these platforms are not its aliases: their system names (``gpu-simd``,
+# ``gpu-4tc``, ``gpu-<N>sma``) are in every window and timing key, and
+# without an interference matrix a multi-stream plan schedules otherwise.
+register_gpu_platforms(
+    "gpu",
+    volta_gpu(),
+    {
+        "simd": (
+            "gpu-simd",
+            "baseline Volta, every op on the FP32 CUDA cores",
+            ("simd",),
+        ),
+        "tc": (
+            "gpu-tc",
+            "Volta with GEMMs on the 4 TensorCores per SM",
+            ("tc", "gpu-4tc"),
+        ),
+        "sma": (
+            "sma",
+            "GPU with N SMA units per SM (sma[:UNITS[,DTYPE]])",
+            ("gpu-sma",),
+        ),
+    },
+)
+
+
+# -- other built-in platforms ------------------------------------------------
 
 
 @register_platform(

@@ -3,7 +3,9 @@
 Registering a :class:`~repro.catalog.specs.DeviceSpec` wires it into
 :mod:`repro.api.registry` so catalog devices resolve everywhere a
 platform spec string is accepted. A GPU-family device ``D`` registers
-three platform flavors::
+three platform flavors through
+:func:`~repro.api.registry.register_gpu_platforms`, the function that
+registers the paper's ``gpu-tc``/``gpu-simd``/``sma``::
 
     D            TensorCore platform  (aliases: tc@D, the spec's aliases)
     simd@D       CUDA-core-only platform
@@ -26,7 +28,6 @@ from pathlib import Path
 
 from repro.api import registry
 from repro.catalog.specs import DEFAULT_DEVICES, DeviceSpec
-from repro.config import DataType, SmaConfig, SystemConfig
 from repro.errors import ConfigError
 
 #: Registered devices in registration (generation) order.
@@ -110,96 +111,34 @@ def device_metadata(platform_spec: str) -> dict | None:
 # -- platform wiring ---------------------------------------------------------------
 
 
-def _gpu_system(spec: DeviceSpec, suffix: str) -> SystemConfig:
-    return SystemConfig(name=f"{spec.name}-{suffix}", gpu=spec.gpu)
-
-
-def _sma_system(
-    spec: DeviceSpec, units: int, dtype: DataType
-) -> SystemConfig:
-    return SystemConfig(
-        name=f"{spec.name}-{units}sma",
-        gpu=spec.gpu,
-        sma=SmaConfig(units_per_sm=units, dtype=dtype),
-    )
-
-
-def _register_gpu_platforms(spec: DeviceSpec) -> None:
-    # Imported here: the platform classes pull in the scheduler stack,
-    # which the catalog's data layer must stay independent of.
-    from repro.platforms.gpu_simd import GpuSimdPlatform
-    from repro.platforms.gpu_sma import GpuSmaPlatform
-    from repro.platforms.gpu_tc import GpuTcPlatform
-
-    tc_aliases = (f"tc@{spec.name}",) + spec.aliases
-
-    def _tc_gemm(*args: str) -> tuple[SystemConfig, str]:
-        registry._no_args(spec.name, args)
-        return _gpu_system(spec, "4tc"), "tc"
-
-    @registry.register_platform(
-        spec.name,
-        description=f"{spec.description} (TensorCore flavor)",
-        aliases=tc_aliases,
-        gemm=_tc_gemm,
-    )
-    def _build_tc(*args, cache=None, **kwargs):
-        registry._no_args(spec.name, args)
-        return GpuTcPlatform(
-            system=_gpu_system(spec, "4tc"),
-            cache=cache,
-            interference=spec.interference,
-            **kwargs,
-        )
-
-    simd_name = f"simd@{spec.name}"
-
-    def _simd_gemm(*args: str) -> tuple[SystemConfig, str]:
-        registry._no_args(simd_name, args)
-        return _gpu_system(spec, "simd"), "simd"
-
-    @registry.register_platform(
-        simd_name,
-        description=f"{spec.description} (CUDA-core-only flavor)",
-        gemm=_simd_gemm,
-    )
-    def _build_simd(*args, cache=None, **kwargs):
-        registry._no_args(simd_name, args)
-        return GpuSimdPlatform(
-            system=_gpu_system(spec, "simd"),
-            cache=cache,
-            interference=spec.interference,
-            **kwargs,
-        )
-
+def _register_gpu_platforms(spec: DeviceSpec) -> tuple[str, ...]:
     sma_name = f"sma@{spec.name}"
-
-    def _sma_gemm(*args: str) -> tuple[SystemConfig, str]:
-        units, dtype = registry._sma_parts(args)
-        return _sma_system(spec, units, dtype), "sma"
-
-    @registry.register_platform(
-        sma_name,
-        description=(
-            f"{spec.description} (SMA flavor, {sma_name}[:UNITS[,DTYPE]])"
-        ),
-        gemm=_sma_gemm,
+    return registry.register_gpu_platforms(
+        spec.name,
+        spec.gpu,
+        {
+            "tc": (
+                spec.name,
+                f"{spec.description} (TensorCore flavor)",
+                (f"tc@{spec.name}",) + spec.aliases,
+            ),
+            "simd": (
+                f"simd@{spec.name}",
+                f"{spec.description} (CUDA-core-only flavor)",
+                (),
+            ),
+            "sma": (
+                sma_name,
+                f"{spec.description} (SMA flavor,"
+                f" {sma_name}[:UNITS[,DTYPE]])",
+                (),
+            ),
+        },
+        interference=spec.interference,
     )
-    def _build_sma(*args, cache=None, **kwargs):
-        units, dtype = registry._sma_parts(args)
-        return GpuSmaPlatform(
-            units,
-            system=_sma_system(spec, units, dtype),
-            cache=cache,
-            interference=spec.interference,
-            **kwargs,
-        )
-
-    for key in (spec.name, *tc_aliases, simd_name, sma_name):
-        _PLATFORM_DEVICES[key] = spec.name
 
 
-def _register_tpu_platforms(spec: DeviceSpec) -> None:
+def _register_tpu_platforms(spec: DeviceSpec) -> tuple[str, ...]:
     from repro.platforms.tpu_platform import TpuPlatform
 
     aliases = tuple(f"tpu@{alias}" for alias in spec.aliases)
@@ -216,8 +155,7 @@ def _register_tpu_platforms(spec: DeviceSpec) -> None:
             config=spec.tpu, interference=spec.interference, **kwargs
         )
 
-    for key in (spec.name, *aliases):
-        _PLATFORM_DEVICES[key] = spec.name
+    return (spec.name, *aliases)
 
 
 def register_device(spec: DeviceSpec) -> DeviceSpec:
@@ -242,9 +180,11 @@ def register_device(spec: DeviceSpec) -> DeviceSpec:
                 f"device alias {alias!r} (of {spec.name!r}) already taken"
             )
     if spec.family == "gpu":
-        _register_gpu_platforms(spec)
+        registered = _register_gpu_platforms(spec)
     else:
-        _register_tpu_platforms(spec)
+        registered = _register_tpu_platforms(spec)
+    for key in registered:
+        _PLATFORM_DEVICES[key] = spec.name
     _DEVICES[spec.name] = spec
     for alias in spec.aliases:
         _ALIASES[alias] = spec.name
@@ -258,17 +198,15 @@ def unregister_device(name: str) -> None:
         return
     for alias in spec.aliases:
         _ALIASES.pop(alias, None)
-    platform_names = [spec.name]
-    if spec.family == "gpu":
-        platform_names += [f"simd@{spec.name}", f"sma@{spec.name}"]
-    for platform_name in platform_names:
-        registry.unregister_platform(platform_name)
     for key in [
         key
         for key, device in _PLATFORM_DEVICES.items()
         if device == spec.name
     ]:
-        _PLATFORM_DEVICES.pop(key, None)
+        # A platform's aliases go with its name; unregistering an alias
+        # is a no-op.
+        registry.unregister_platform(key)
+        del _PLATFORM_DEVICES[key]
 
 
 def install_default_catalog() -> None:

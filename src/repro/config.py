@@ -272,13 +272,11 @@ def system_gpu_4tc() -> SystemConfig:
 
 def system_sma(units: int = 3, dtype: DataType = DataType.FP16) -> SystemConfig:
     """A GPU whose MAC units are SMA-reconfigurable (2-SMA or 3-SMA)."""
-    if units == 2:
-        sma = sma_2unit(dtype)
-    elif units == 3:
-        sma = sma_3unit(dtype)
-    else:
-        sma = SmaConfig(units_per_sm=units, dtype=dtype)
-    return SystemConfig(name=f"gpu-{units}sma", gpu=volta_gpu(), sma=sma)
+    return SystemConfig(
+        name=f"gpu-{units}sma",
+        gpu=volta_gpu(),
+        sma=SmaConfig(units_per_sm=units, dtype=dtype),
+    )
 
 
 def tpu_v2_core() -> TpuConfig:
@@ -295,11 +293,3 @@ def system_tpu() -> SystemConfig:
     """TPU core plus its host CPU (for unsupported ops and transfers)."""
     return SystemConfig(name="tpu", tpu=tpu_v2_core())
 
-
-ALL_SYSTEMS = {
-    "gpu-simd": system_gpu_simd,
-    "gpu-4tc": system_gpu_4tc,
-    "gpu-2sma": lambda: system_sma(2),
-    "gpu-3sma": lambda: system_sma(3),
-    "tpu": system_tpu,
-}

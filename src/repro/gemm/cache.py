@@ -88,15 +88,6 @@ class CacheStats(Codec, derived=("hit_rate",)):
             window_misses=self.window_misses - baseline.window_misses,
         )
 
-    def merged(self, other: "CacheStats") -> "CacheStats":
-        """Element-wise sum, used when folding worker caches together."""
-        return CacheStats(
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            window_hits=self.window_hits + other.window_hits,
-            window_misses=self.window_misses + other.window_misses,
-        )
-
 
 @dataclass(frozen=True)
 class CacheEntries:

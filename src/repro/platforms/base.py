@@ -26,9 +26,11 @@ from repro.dnn.ops import (
 )
 from repro.energy.accounting import EnergyBreakdown, EnergyLedger
 from repro.gemm.cache import TimingCache
-from repro.gemm.executor import GemmTiming
+from repro.gemm.executor import GemmExecutor, GemmTiming
+from repro.gemm.problem import GemmProblem
 from repro.schedule.resources import ResourceClaim, claims_for_mode
 from repro.schedule.timeline import OpTask, Timeline, TimelineScheduler
+from repro.systolic.dataflow import Dataflow
 
 #: Per-op framework overhead (graph runtime, kernel dispatch) used by the
 #: end-to-end experiments (Fig 3 / Fig 9); pure kernel studies pass 0.
@@ -167,8 +169,8 @@ class Platform(abc.ABC):
         return 0.0
 
     def reset_schedule_state(self) -> None:
-        """Reset per-run lowering state (e.g. the SMA mode tracker) so a
-        scenario prices every stream from the same initial conditions."""
+        """Reset per-run lowering state (e.g. the SMA substrate's mode) so
+        a scenario prices every stream from the same initial conditions."""
 
     def lower_model(
         self, graph: LayerGraph, *, stream: str | None = None
@@ -226,17 +228,22 @@ class Platform(abc.ABC):
 
 
 class GpuPlatformBase(Platform):
-    """Shared GPU logic: the SIMD roofline for non-GEMM operators.
+    """Shared GPU logic: GEMMs on one backend, the SIMD roofline for the rest.
 
-    Non-GEMM operators run in SIMD mode on every GPU variant (the whole
-    point of SMA: programmability is preserved). Time is the classic
-    roofline ``max(compute, memory)`` with the operator's calibrated
-    ``simd_efficiency``, plus the kernel launch overhead. Both read only
-    the GPU and the op, so each operator is priced once per ``cache``
-    (:meth:`TimingCache.op_table`); the subclasses' GEMM executors time
-    through the same cache, and each timing's energy is accounted once
-    per platform (:meth:`gemm_energy`).
+    Each subclass names the :class:`GemmExecutor` backend its GEMM
+    operators time on (``backend``), in that backend's default dtype,
+    labelled ``gemm-<backend>``. Non-GEMM operators run in SIMD mode on
+    every GPU variant (the whole point of SMA: programmability is
+    preserved). Time is the classic roofline ``max(compute, memory)``
+    with the operator's calibrated ``simd_efficiency``, plus the kernel
+    launch overhead. Both read only the GPU and the op, so each operator
+    is priced once per ``cache`` (:meth:`TimingCache.op_table`); the GEMM
+    executor times through the same cache, and each timing's energy is
+    accounted once per platform (:meth:`gemm_energy`).
     """
+
+    #: The GEMM backend (``"simd"``, ``"tc"`` or ``"sma"``).
+    backend: str
 
     def __init__(
         self,
@@ -245,6 +252,8 @@ class GpuPlatformBase(Platform):
         framework_overhead_s: float = DEFAULT_FRAMEWORK_OVERHEAD_S,
         interference=None,
         cache: TimingCache | None = None,
+        scheduler: str | None = None,
+        dataflow: Dataflow = Dataflow.SEMI_BROADCAST_WS,
     ) -> None:
         super().__init__(name, framework_overhead_s, interference=interference)
         if system.gpu is None:
@@ -253,10 +262,32 @@ class GpuPlatformBase(Platform):
         self.gpu: GpuConfig = system.gpu
         self.ledger = EnergyLedger(self.gpu)
         self.cache = cache if cache is not None else TimingCache()
+        self.executor = GemmExecutor(
+            system, self.backend, dataflow=dataflow, scheduler=scheduler,
+            cache=self.cache,
+        )
+        self._gemm_dtype = self.executor.default_dtype()
+        self._gemm_mode = f"gemm-{self.backend}"
         self._priced = self.cache.op_table(self.gpu)
         self._gemm_energies: dict[
             int, tuple[GemmTiming, EnergyBreakdown]
         ] = {}
+
+    def run_op(self, op: Operator) -> OpStats:
+        dims = op.gemm_dims()
+        if dims is None:
+            return self.run_irregular(op)
+        m, n, k = dims
+        problem = GemmProblem(m, n, k, dtype=self._gemm_dtype)
+        timing = self.executor.time_gemm(problem)
+        return OpStats(
+            op_name=op.name,
+            group=reporting_group(op),
+            mode=self._gemm_mode,
+            seconds=timing.seconds,
+            flops=float(problem.flops),
+            energy=self.gemm_energy(timing),
+        )
 
     def gemm_energy(self, timing: GemmTiming) -> EnergyBreakdown:
         """The energy of one timed GEMM, accounted once per timing.

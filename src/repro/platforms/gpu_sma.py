@@ -1,32 +1,31 @@
 """SMA platform: GEMM ops in systolic mode, everything else in SIMD mode.
 
-The temporal reconfiguration between modes is tracked per operator
-transition; its cost (8 cycles per switch, paper SS IV-A) is what makes the
-"simultaneous multi-mode" design practical and is reported by
-``mode_switch_overhead_seconds``.
+The platform holds the MAC substrate's current ``mode`` (``"simd"`` or
+``"systolic"``) while it lowers a chain of operators. An operator whose
+mode differs from the one before it pays the temporal reconfiguration
+(8 cycles per switch, paper SS IV-A) on top of its own time; that small
+cost is what makes the "simultaneous multi-mode" design practical.
 """
 
 from __future__ import annotations
 
-from repro.config import DataType, SystemConfig, system_sma
+from repro.config import SystemConfig, system_sma
 from repro.dnn.ops import Operator
 from repro.gemm.cache import TimingCache
-from repro.gemm.executor import GemmExecutor
-from repro.gemm.problem import GemmProblem
 from repro.platforms.base import (
     DEFAULT_FRAMEWORK_OVERHEAD_S,
     GpuPlatformBase,
     OpStats,
-    reporting_group,
 )
 from repro.schedule.resources import ResourceClaim, ResourceKind
-from repro.sma.mode import ExecutionMode, ModeSwitchTracker
 from repro.sma.sync import partition_warps
 from repro.systolic.dataflow import Dataflow
 
 
 class GpuSmaPlatform(GpuPlatformBase):
     """The paper's architecture: 2 or 3 SMA units per SM."""
+
+    backend = "sma"
 
     def __init__(
         self,
@@ -39,46 +38,25 @@ class GpuSmaPlatform(GpuPlatformBase):
         interference=None,
     ) -> None:
         system = system or system_sma(units)
-        super().__init__(system, f"gpu-{system.sma.units_per_sm}sma",
-                         framework_overhead_s, interference=interference,
-                         cache=cache)
-        self.executor = GemmExecutor(system, "sma", dataflow=dataflow,
-                                     scheduler=scheduler, cache=self.cache)
-        self.mode_tracker = ModeSwitchTracker(system.sma)
+        super().__init__(
+            system, f"gpu-{system.sma.units_per_sm}sma", framework_overhead_s,
+            interference=interference, cache=cache, scheduler=scheduler,
+            dataflow=dataflow,
+        )
+        self._switch_s = float(system.sma.reconfiguration_cycles) / (
+            self.gpu.clock_ghz * 1e9
+        )
+        self.mode = "simd"
 
     def run_op(self, op: Operator) -> OpStats:
-        dims = op.gemm_dims()
-        if dims is None:
-            switch_cycles = self.mode_tracker.switch_to(ExecutionMode.SIMD)
-            stats = self.run_irregular(op)
-            switch_seconds = switch_cycles / (self.gpu.clock_ghz * 1e9)
-            self.mode_tracker.account(
-                stats.seconds * self.gpu.clock_ghz * 1e9
-            )
-            return OpStats(
-                stats.op_name, stats.group, stats.mode,
-                stats.seconds + switch_seconds, stats.flops, stats.energy,
-            )
-        switch_cycles = self.mode_tracker.switch_to(ExecutionMode.SYSTOLIC)
-        m, n, k = dims
-        problem = GemmProblem(m, n, k, dtype=self.system.sma.dtype)
-        timing = self.executor.time_gemm(problem)
-        self.mode_tracker.account(timing.cycles)
-        switch_seconds = switch_cycles / (self.gpu.clock_ghz * 1e9)
+        stats = super().run_op(op)
+        mode = "systolic" if stats.mode == "gemm-sma" else "simd"
+        if mode == self.mode:
+            return stats
+        self.mode = mode
         return OpStats(
-            op_name=op.name,
-            group=reporting_group(op),
-            mode="gemm-sma",
-            seconds=timing.seconds + switch_seconds,
-            flops=float(problem.flops),
-            energy=self.gemm_energy(timing),
-        )
-
-    @property
-    def mode_switch_overhead_seconds(self) -> float:
-        """Total reconfiguration time spent so far (temporal integration)."""
-        return self.mode_tracker.reconfiguration_cycles / (
-            self.gpu.clock_ghz * 1e9
+            stats.op_name, stats.group, stats.mode,
+            stats.seconds + self._switch_s, stats.flops, stats.energy,
         )
 
     # -- scheduling hooks ---------------------------------------------------------
@@ -97,11 +75,11 @@ class GpuSmaPlatform(GpuPlatformBase):
     def cross_switch_seconds(self) -> float:
         """Drain/fill plus warp-set resync for a cross-stream mode flip.
 
-        Within one stream the lowering pass prices switches through the
-        mode tracker; when the scheduler interleaves *streams* on the MAC
-        substrate it charges this extra resync: the array reconfiguration
-        cycles plus one cooperative-group sync across both warp sets of
-        the double-buffered mapping (:mod:`repro.sma.sync`).
+        Within one stream the lowering pass prices switches in
+        :meth:`run_op`; when the scheduler interleaves *streams* on the
+        MAC substrate it charges this extra resync: the array
+        reconfiguration cycles plus one cooperative-group sync across both
+        warp sets of the double-buffered mapping (:mod:`repro.sma.sync`).
         """
         partition = partition_warps(self.gpu.max_warps_per_sm)
         resync_cycles = float(len(partition.all_warps))
@@ -109,4 +87,4 @@ class GpuSmaPlatform(GpuPlatformBase):
         return cycles / (self.gpu.clock_ghz * 1e9)
 
     def reset_schedule_state(self) -> None:
-        self.mode_tracker = ModeSwitchTracker(self.system.sma)
+        self.mode = "simd"

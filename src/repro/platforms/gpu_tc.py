@@ -10,22 +10,22 @@ exactly that fraction — no hard-coded contention constant.
 
 from __future__ import annotations
 
-from repro.config import DataType, SystemConfig, system_gpu_4tc
+from repro.config import SystemConfig, system_gpu_4tc
 from repro.dnn.ops import Operator
 from repro.gemm.cache import TimingCache
-from repro.gemm.executor import GemmExecutor
 from repro.gemm.problem import GemmProblem
 from repro.platforms.base import (
     DEFAULT_FRAMEWORK_OVERHEAD_S,
     GpuPlatformBase,
     OpStats,
-    reporting_group,
 )
 from repro.schedule.resources import ResourceClaim, ResourceKind
 
 
 class GpuTcPlatform(GpuPlatformBase):
     """The Volta baseline with spatially integrated TCs (paper '4-TC')."""
+
+    backend = "tc"
 
     def __init__(
         self,
@@ -35,29 +35,9 @@ class GpuTcPlatform(GpuPlatformBase):
         scheduler: str | None = None,
         interference=None,
     ) -> None:
-        system = system or system_gpu_4tc()
         super().__init__(
-            system, "gpu-4tc", framework_overhead_s, interference=interference,
-            cache=cache,
-        )
-        self.executor = GemmExecutor(
-            system, "tc", scheduler=scheduler, cache=self.cache
-        )
-
-    def run_op(self, op: Operator) -> OpStats:
-        dims = op.gemm_dims()
-        if dims is None:
-            return self.run_irregular(op)
-        m, n, k = dims
-        problem = GemmProblem(m, n, k, dtype=DataType.FP16)
-        timing = self.executor.time_gemm(problem)
-        return OpStats(
-            op_name=op.name,
-            group=reporting_group(op),
-            mode="gemm-tc",
-            seconds=timing.seconds,
-            flops=float(problem.flops),
-            energy=self.gemm_energy(timing),
+            system or system_gpu_4tc(), "gpu-4tc", framework_overhead_s,
+            interference=interference, cache=cache, scheduler=scheduler,
         )
 
     def corun_simd_fraction(self, op: Operator) -> float:
@@ -73,7 +53,7 @@ class GpuTcPlatform(GpuPlatformBase):
             return 0.0
         m, n, k = dims
         timing = self.executor.time_gemm(
-            GemmProblem(m, n, k, dtype=DataType.FP16)
+            GemmProblem(m, n, k, dtype=self._gemm_dtype)
         )
         cycles = timing.counters.get("cycles")
         if cycles <= 0:

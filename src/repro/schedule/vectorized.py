@@ -358,10 +358,10 @@ class VectorCore:
         )
 
     # -- task intake / retirement ------------------------------------------------------
-    def inject(self, tasks, presatisfied=frozenset()) -> None:
+    def inject(self, tasks) -> None:
         """Register tasks (validating uids/deps exactly like the reference
-        loop). ``presatisfied`` uids count as already-resolved
-        dependencies — the streaming driver's bridge to pruned frames."""
+        loop). A dependency must still be registered: the streaming
+        driver injects a frame before it prunes the frame before it."""
         by_uid = self.by_uid
         for task in tasks:
             if task.uid in by_uid:
@@ -384,7 +384,7 @@ class VectorCore:
                         continue
                     dependents.setdefault(dep, []).append(uid)
                     unmet += 1
-                elif dep not in presatisfied:
+                else:
                     raise SchedulingError(
                         f"task {task.name!r} depends on unknown uid {dep}"
                     )

@@ -8,12 +8,9 @@ asynchronous ``LSMA`` instruction and a dedicated systolic controller.
 
 from repro.sma.controller import SystolicControllerModel
 from repro.sma.mapping import SmaGemmMapper, SmaKernelShape
-from repro.sma.mode import ExecutionMode, ModeSwitchTracker
 from repro.sma.sync import WarpSetPartition, make_double_buffer_groups
 
 __all__ = [
-    "ExecutionMode",
-    "ModeSwitchTracker",
     "SmaGemmMapper",
     "SmaKernelShape",
     "SystolicControllerModel",

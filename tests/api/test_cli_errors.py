@@ -2,14 +2,22 @@
 
 Covers `repro scenario`, `repro serve`, `repro sweep`, `repro store-diff`
 and `repro fuzz` — bad spec files, unknown platform/model strings, and
-conflicting flags (no tracebacks, no partial output on stdout).
+conflicting flags (no tracebacks, no partial output on stdout) — and a
+reader that closes stdout early, which ends the CLI with exit 1 and no
+traceback.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.__main__ import main
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def expect_error(capsys, argv, *needles):
@@ -329,3 +337,34 @@ class TestFuzzFileErrors:
             ["fuzz", "shrink", str(path), "-o", str(tmp_path / "min.json")],
             "must hold a JSON object",
         )
+
+
+class TestClosedPipe:
+    """``repro ... | head -1``: the reader is gone before the CLI writes."""
+
+    @pytest.mark.parametrize(
+        "unbuffered", ["", "1"], ids=["buffered", "unbuffered"]
+    )
+    @pytest.mark.parametrize(
+        "argv", [["catalog", "show", "v100"], ["list"]], ids=" ".join
+    )
+    def test_exits_1_with_empty_stderr(self, argv, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "repro", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={
+                    **os.environ,
+                    "PYTHONPATH": str(SRC),
+                    "PYTHONUNBUFFERED": unbuffered,
+                },
+                timeout=300,
+            )
+        finally:
+            os.close(write_end)
+        assert result.stderr == ""
+        assert result.returncode == 1

@@ -91,21 +91,54 @@ class TestModelRun:
 
 
 class TestSmaModeSwitching:
-    def test_switch_overhead_tracked(self):
-        platform = GpuSmaPlatform(3, framework_overhead_s=0.0)
+    """Each SIMD <-> systolic flip of the MAC substrate costs 8 cycles."""
+
+    @staticmethod
+    def _switch_s(platform):
+        assert platform.system.sma.reconfiguration_cycles == 8
+        return 8 / (platform.gpu.clock_ghz * 1e9)
+
+    def test_each_flip_pays_the_reconfiguration(self):
+        platform = build_platform("sma:3")
         conv = _conv()
         relu = Relu.build("r", conv.output_shape)
-        platform.run_op(conv)   # -> systolic
-        platform.run_op(relu)   # -> simd
-        platform.run_op(conv)   # -> systolic
-        assert platform.mode_tracker.switches == 3
-        assert platform.mode_switch_overhead_seconds > 0
+        ops = [conv, conv, relu, relu, conv]
+        charged = [platform.run_op(op).seconds for op in ops]
+        plain = [GpuPlatformBase.run_op(platform, op).seconds for op in ops]
+        switch_s = self._switch_s(platform)
+        # A fresh platform starts in SIMD mode: ops 1, 3 and 5 flip it.
+        assert charged == [
+            plain[0] + switch_s,
+            plain[1],
+            plain[2] + switch_s,
+            plain[3],
+            plain[4] + switch_s,
+        ]
+        assert platform.mode == "systolic"
+
+    def test_reset_returns_to_simd(self):
+        platform = build_platform("sma:3")
+        conv = _conv()
+        first = platform.run_op(conv).seconds
+        assert platform.run_op(conv).seconds < first
+        platform.reset_schedule_state()
+        assert platform.mode == "simd"
+        assert platform.run_op(conv).seconds == first
 
     def test_switch_overhead_negligible(self):
         """The temporal-integration claim: switching is ~free."""
-        platform = GpuSmaPlatform(3, framework_overhead_s=0.0)
-        result = platform.run_model(build_alexnet())
-        assert platform.mode_switch_overhead_seconds < 0.001 * result.total_seconds
+        platform = build_platform("sma:3", framework_overhead_s=0.0)
+        graph = build_alexnet()
+        tasks = platform.lower_model(graph)
+        surcharges = [
+            task.seconds - GpuPlatformBase.run_op(platform, node.op).seconds
+            for task, node in zip(tasks, graph.topological_order())
+        ]
+        flips = [surcharge for surcharge in surcharges if surcharge]
+        assert flips
+        assert flips == pytest.approx([self._switch_s(platform)] * len(flips))
+        total = sum(task.seconds for task in tasks)
+        assert sum(surcharges) < 0.001 * total
 
 
 class TestReportingGroups:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.config import (
-    ALL_SYSTEMS,
     CpuConfig,
     DataType,
     GpuConfig,
@@ -130,11 +129,6 @@ class TestSystemConfig:
     def test_sma_requires_gpu(self):
         with pytest.raises(ConfigError):
             SystemConfig(name="bad", tpu=tpu_v2_core(), sma=sma_2unit())
-
-    def test_named_systems(self):
-        for name, factory in ALL_SYSTEMS.items():
-            system = factory()
-            assert system.name == name
 
     def test_system_sma_units(self):
         assert system_sma(2).sma.units_per_sm == 2
